@@ -9,13 +9,13 @@ small overlay excerpt around the posterior mode.
 import numpy as np
 
 from gpgamma import (
+    KINDS,
+    build_gamma,
     compare,
     derive_params,
     discretize_gamma,
     exact_posterior,
-    moment_matched_gamma,
     posterior_moments,
-    theorem1_gamma,
 )
 
 X_OBSERVED = 10
@@ -34,10 +34,7 @@ for label, (a, b, c) in [
           f"tail bound {table.tail_bound:.2e}")
     print(f"posterior mean {mu:.4f}, variance {var:.4f}")
 
-    gammas = {
-        "theorem1": theorem1_gamma(params, X_OBSERVED),
-        "moment_matched": moment_matched_gamma(mu, var),
-    }
+    gammas = {kind: build_gamma(kind, table) for kind in KINDS}
     discs = {}
     print(f"{'kind':<16} {'shape':>10} {'scale':>10} {'tv':>10} {'kl':>10} {'sup':>10}")
     for kind, g in gammas.items():

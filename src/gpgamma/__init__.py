@@ -9,9 +9,11 @@ the count model (:mod:`~gpgamma.model`), the exact posterior engine
 """
 
 from .approximation import (
+    KINDS,
     DiscretePmf,
     GammaApprox,
     InequalityResult,
+    build_gamma,
     discretize_gamma,
     inequality_check,
     moment_matched_gamma,
@@ -44,6 +46,7 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "KINDS",
     "ComparisonReport",
     "DiscretePmf",
     "DomainError",
@@ -56,6 +59,7 @@ __all__ = [
     "SupportError",
     "SweepResult",
     "UnsupportedOrderError",
+    "build_gamma",
     "compare",
     "denominator_lerch",
     "derive_params",

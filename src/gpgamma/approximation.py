@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams
+from .posterior import PosteriorTable, posterior_moments
 from .special import log_gamma, reg_lower_inc_gamma
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "DiscretePmf",
     "GammaApprox",
     "InequalityResult",
+    "build_gamma",
     "discretize_gamma",
     "inequality_check",
     "moment_matched_gamma",
@@ -96,6 +98,19 @@ def moment_matched_gamma(mu_post: float, var_post: float) -> GammaApprox:
         scale=var_post / mu_post,
         kind="moment_matched",
     )
+
+
+def build_gamma(kind: str, table: PosteriorTable) -> GammaApprox:
+    """The gamma approximation of the given kind (one of ``KINDS``) to ``table``.
+
+    ``moment_matched`` takes the table's moments and so shares their refusal
+    (PrecisionError) of a table truncated more loosely than 1e-6.
+    """
+    if kind == "theorem1":
+        return theorem1_gamma(table.params, table.x)
+    if kind == "moment_matched":
+        return moment_matched_gamma(*posterior_moments(table))
+    raise DomainError(f"unknown gamma kind {kind!r}; expected one of {KINDS}")
 
 
 def discretize_gamma(

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from .approximation import discretize_gamma, moment_matched_gamma, theorem1_gamma
+from .approximation import KINDS, build_gamma, discretize_gamma
 from .errors import DomainError, NumericError, PrecisionError
 from .model import derive_params
 from .posterior import exact_posterior, posterior_moments
 from .special import bernoulli_numbers, bernoulli_polynomial, power_sum
 from .validation import (
+    ComparisonReport,
     compare,
     sweep,
     verify_bernoulli_expansion,
@@ -37,20 +39,40 @@ REFERENCE_SETS = ((1.5, 0.1, -0.05), (1.5, 0.5, -0.05))
 _LERCH_TOL = 1e-8
 _POWERSUM_TOL = 1e-9
 
+# A report's fields after the point (a, b, c, m, x), which outputs echo apart.
+_METRIC_COLUMNS = [
+    f.name
+    for f in dataclasses.fields(ComparisonReport)
+    if f.name not in ("a", "b", "c", "m", "x")
+]
+
 
 class GridFormatError(Exception):
     """A sweep grid file line that cannot be parsed."""
 
 
+@dataclasses.dataclass(frozen=True)
+class _Table:
+    """Rows of values in column order: CSV lines, or JSON objects keyed by column."""
+
+    columns: Sequence[str]
+    rows: list[tuple]
+
+    @classmethod
+    def from_arrays(cls, columns: Sequence[str], *arrays: Any) -> _Table:
+        """The table whose columns hold the given numpy arrays."""
+        return cls(columns, list(zip(*(a.tolist() for a in arrays))))
+
+
 def _fmt(value: Any) -> str:
-    """Render one CSV field: floats at 12 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """Render one CSV field: floats at 12 significant digits, None empty."""
     if isinstance(value, float):
         if value == 0.0:
             value = 0.0  # normalize -0.0
         return format(value, ".12g")
-    return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 def _round12(value: Any) -> Any:
@@ -61,6 +83,11 @@ def _round12(value: Any) -> Any:
         if value == 0.0:
             value = 0.0  # normalize -0.0
         return float(format(value, ".12g"))
+    if isinstance(value, _Table):
+        return [
+            {col: _round12(v) for col, v in zip(value.columns, row)}
+            for row in value.rows
+        ]
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -68,225 +95,110 @@ def _round12(value: Any) -> Any:
     return value
 
 
-def _emit_json(doc: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(_round12(doc), indent=2) + "\n")
-
-
-def _comment(text: str) -> None:
-    sys.stdout.write(f"# {text}\n")
-
-
-def _kv(pairs: Sequence[tuple[str, Any]]) -> str:
+def _kv(pairs: Iterable[tuple[str, Any]]) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 
-def _csv_writer() -> Any:
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(
+    args: argparse.Namespace,
+    doc: dict[str, Any],
+    header: dict[str, Any],
+    parts: Sequence[str | _Table],
+) -> None:
+    """Write a command's output to stdout in the format ``args.format`` names.
+
+    JSON is ``doc`` after the schema version and command name, with each
+    table as a list of row objects.  CSV is a comment echoing the command
+    and ``header``, then ``parts`` in order: a string is a comment line, a
+    table its column line and rows.
+    """
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
+        sys.stdout.write(json.dumps(_round12(doc), indent=2) + "\n")
+        return
+    sys.stdout.write(f"# schema_version={SCHEMA_VERSION}\n")
+    sys.stdout.write(f"# {_kv({'command': args.command, **header}.items())}\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for part in parts:
+        if isinstance(part, str):
+            sys.stdout.write(f"# {part}\n")
+        else:
+            writer.writerow(part.columns)
+            writer.writerows([_fmt(v) for v in row] for row in part.rows)
 
 
-def _params_pairs(args: argparse.Namespace, m: float) -> list[tuple[str, Any]]:
-    return [("a", args.a), ("b", args.b), ("c", args.c), ("x", args.x), ("m", m)]
+def _model_echo(
+    args: argparse.Namespace, m: float
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The model arguments as JSON fields and as CSV header pairs."""
+    doc = {"params": {"a": args.a, "b": args.b, "c": args.c, "m": m}, "x": args.x}
+    return doc, {"a": args.a, "b": args.b, "c": args.c, "x": args.x, "m": m}
 
 
 def cmd_posterior(args: argparse.Namespace) -> int:
     params = derive_params(args.a, args.b, args.c)
     table = exact_posterior(params, args.x, args.eps_tail)
     mu, var = posterior_moments(table)
-    ks = table.support
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "posterior",
-                "params": {"a": args.a, "b": args.b, "c": args.c, "m": params.m},
-                "x": args.x,
-                "eps_tail": args.eps_tail,
-                "rows": [
-                    {"k": int(k), "prob": float(p), "log_weight": float(lw)}
-                    for k, p, lw in zip(ks, table.probs, table.log_weights)
-                ],
-                "tail_bound": table.tail_bound,
-                "mu_post": mu,
-                "var_post": var,
-            }
-        )
-        return 0
-    _comment(f"schema_version={SCHEMA_VERSION}")
-    _comment(
-        "command=posterior "
-        + _kv(_params_pairs(args, params.m) + [("eps_tail", args.eps_tail)])
+    rows = _Table.from_arrays(
+        ("k", "prob", "log_weight"), table.support, table.probs, table.log_weights
     )
-    writer = _csv_writer()
-    writer.writerow(["k", "prob", "log_weight"])
-    for k, p, lw in zip(ks, table.probs, table.log_weights):
-        writer.writerow([int(k), _fmt(float(p)), _fmt(float(lw))])
-    _comment(_kv([("tail_bound", table.tail_bound), ("mu_post", mu), ("var_post", var)]))
+    footer = {"tail_bound": table.tail_bound, "mu_post": mu, "var_post": var}
+    doc, header = _model_echo(args, params.m)
+    _emit(
+        args,
+        {**doc, "eps_tail": args.eps_tail, "rows": rows, **footer},
+        {**header, "eps_tail": args.eps_tail},
+        [rows, _kv(footer.items())],
+    )
     return 0
-
-
-def _build_gamma(args: argparse.Namespace, params, table):
-    if args.kind == "theorem1":
-        return theorem1_gamma(params, args.x)
-    mu, var = posterior_moments(table)
-    return moment_matched_gamma(mu, var)
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
     params = derive_params(args.a, args.b, args.c)
     table = exact_posterior(params, args.x, args.eps_tail)
-    g = _build_gamma(args, params, table)
+    g = build_gamma(args.kind, table)
     disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=False)
-    ks = table.support
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "approx",
-                "params": {"a": args.a, "b": args.b, "c": args.c, "m": params.m},
-                "x": args.x,
-                "kind": g.kind,
-                "eps_tail": args.eps_tail,
-                "gamma": {
-                    "shape": g.shape,
-                    "scale": g.scale,
-                    "mean": g.mean,
-                    "variance": g.variance,
-                },
-                "rows": [
-                    {"k": int(k), "prob": float(p)} for k, p in zip(ks, disc.probs)
-                ],
-                "raw_total": disc.raw_total,
-            }
-        )
-        return 0
-    _comment(f"schema_version={SCHEMA_VERSION}")
-    _comment(
-        "command=approx "
-        + _kv(
-            _params_pairs(args, params.m)
-            + [("kind", g.kind), ("eps_tail", args.eps_tail)]
-        )
+    gamma = {"shape": g.shape, "scale": g.scale, "mean": g.mean, "variance": g.variance}
+    rows = _Table.from_arrays(("k", "prob"), table.support, disc.probs)
+    footer = {"raw_total": disc.raw_total}
+    doc, header = _model_echo(args, params.m)
+    echo = {"kind": g.kind, "eps_tail": args.eps_tail}
+    _emit(
+        args,
+        {**doc, **echo, "gamma": gamma, "rows": rows, **footer},
+        {**header, **echo},
+        [_kv(gamma.items()), rows, _kv(footer.items())],
     )
-    _comment(
-        _kv(
-            [
-                ("shape", g.shape),
-                ("scale", g.scale),
-                ("mean", g.mean),
-                ("variance", g.variance),
-            ]
-        )
-    )
-    writer = _csv_writer()
-    writer.writerow(["k", "prob"])
-    for k, p in zip(ks, disc.probs):
-        writer.writerow([int(k), _fmt(float(p))])
-    _comment(_kv([("raw_total", disc.raw_total)]))
     return 0
 
 
-_METRIC_COLUMNS = [
-    "kind",
-    "tv",
-    "kl",
-    "sup_abs",
-    "mean_exact",
-    "var_exact",
-    "mean_approx",
-    "var_approx",
-    "dropped_term_ratio",
-    "inequality_holds",
-    "raw_total",
-]
-
-
-def _report_row(rep) -> list[str]:
-    return [
-        rep.kind,
-        _fmt(rep.tv),
-        _fmt(rep.kl),
-        _fmt(rep.sup_abs),
-        _fmt(rep.mean_exact),
-        _fmt(rep.var_exact),
-        _fmt(rep.mean_approx),
-        _fmt(rep.var_approx),
-        _fmt(rep.dropped_term_ratio),
-        _fmt(rep.inequality_holds),
-        _fmt(rep.raw_total),
-    ]
-
-
-def _report_dict(rep) -> dict[str, Any]:
-    return {
-        "kind": rep.kind,
-        "tv": rep.tv,
-        "kl": rep.kl,
-        "sup_abs": rep.sup_abs,
-        "mean_exact": rep.mean_exact,
-        "var_exact": rep.var_exact,
-        "mean_approx": rep.mean_approx,
-        "var_approx": rep.var_approx,
-        "dropped_term_ratio": rep.dropped_term_ratio,
-        "inequality_holds": rep.inequality_holds,
-        "raw_total": rep.raw_total,
-    }
+def _metric_values(rep: ComparisonReport) -> tuple:
+    return tuple(getattr(rep, col) for col in _METRIC_COLUMNS)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = derive_params(args.a, args.b, args.c)
     table = exact_posterior(params, args.x, args.eps_tail)
-    mu, var = posterior_moments(table)
-    discs = {}
+    discs = []
     reports = []
-    for kind in ("theorem1", "moment_matched"):
-        g = (
-            theorem1_gamma(params, args.x)
-            if kind == "theorem1"
-            else moment_matched_gamma(mu, var)
-        )
+    # Both gammas first: a table too loose for moments is refused before
+    # any window, the costly layer, is evaluated.
+    for g in [build_gamma(kind, table) for kind in KINDS]:
         disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
-        discs[kind] = disc
+        discs.append(disc.probs)
         reports.append(compare(table, disc, args.epsilon_ineq))
-    ks = table.support
-    overlay = zip(ks, table.probs, discs["theorem1"].probs, discs["moment_matched"].probs)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "compare",
-                "params": {"a": args.a, "b": args.b, "c": args.c, "m": params.m},
-                "x": args.x,
-                "eps_tail": args.eps_tail,
-                "epsilon_ineq": args.epsilon_ineq,
-                "metrics": [_report_dict(rep) for rep in reports],
-                "overlay": [
-                    {
-                        "k": int(k),
-                        "exact": float(pe),
-                        "theorem1": float(pt),
-                        "moment_matched": float(pm),
-                    }
-                    for k, pe, pt, pm in overlay
-                ],
-            }
-        )
-        return 0
-    _comment(f"schema_version={SCHEMA_VERSION}")
-    _comment(
-        "command=compare "
-        + _kv(
-            _params_pairs(args, params.m)
-            + [("eps_tail", args.eps_tail), ("epsilon_ineq", args.epsilon_ineq)]
-        )
+    metrics = _Table(_METRIC_COLUMNS, [_metric_values(rep) for rep in reports])
+    overlay = _Table.from_arrays(
+        ("k", "exact", *KINDS), table.support, table.probs, *discs
     )
-    writer = _csv_writer()
-    writer.writerow(_METRIC_COLUMNS)
-    for rep in reports:
-        writer.writerow(_report_row(rep))
-    _comment("overlay")
-    writer.writerow(["k", "exact", "theorem1", "moment_matched"])
-    for k, pe, pt, pm in overlay:
-        writer.writerow([int(k), _fmt(float(pe)), _fmt(float(pt)), _fmt(float(pm))])
+    doc, header = _model_echo(args, params.m)
+    echo = {"eps_tail": args.eps_tail, "epsilon_ineq": args.epsilon_ineq}
+    _emit(
+        args,
+        {**doc, **echo, "metrics": metrics, "overlay": overlay},
+        {**header, **echo},
+        [metrics, "overlay", overlay],
+    )
     return 0
 
 
@@ -296,14 +208,8 @@ def _verify_lerch_rows() -> list[tuple[str, str, float, bool]]:
         params = derive_params(a, b, c)
         for x in range(1, 16):
             err = verify_lerch_denominator(params, x)
-            rows.append(
-                (
-                    "lerch_denominator",
-                    _kv([("a", a), ("b", b), ("c", c), ("x", x)]),
-                    err,
-                    err < _LERCH_TOL,
-                )
-            )
+            detail = _kv([("a", a), ("b", b), ("c", c), ("x", x)])
+            rows.append(("lerch_denominator", detail, err, err < _LERCH_TOL))
     return rows
 
 
@@ -315,14 +221,8 @@ def _verify_powersum_rows() -> list[tuple[str, str, float, bool]]:
             expected = power_sum(n, upper)
             got = (bernoulli_polynomial(n + 1, float(upper)) - table[n + 1]) / (n + 1)
             err = abs(got - expected) / (abs(expected) if expected != 0.0 else 1.0)
-            rows.append(
-                (
-                    "power_sum_identity",
-                    _kv([("n", n), ("upper", upper)]),
-                    err,
-                    err < _POWERSUM_TOL,
-                )
-            )
+            detail = _kv([("n", n), ("upper", upper)])
+            rows.append(("power_sum_identity", detail, err, err < _POWERSUM_TOL))
     return rows
 
 
@@ -335,25 +235,16 @@ def _verify_bernoulli_rows() -> list[tuple[str, str, float, bool]]:
             few = verify_bernoulli_expansion(params, x, 2)
             many = verify_bernoulli_expansion(params, x, 8)
             errs_at_8[(b, x)] = many
+            detail = _kv([("a", a), ("b", b), ("c", c), ("x", x)])
             # 1e-14 slack: both errors may sit at the float noise floor.
-            rows.append(
-                (
-                    "bernoulli_expansion_shrinks",
-                    _kv([("a", a), ("b", b), ("c", c), ("x", x)]),
-                    many,
-                    many <= few + 1e-14,
-                )
-            )
+            shrinks = many <= few + 1e-14
+            rows.append(("bernoulli_expansion_shrinks", detail, many, shrinks))
     small_b, large_b = REFERENCE_SETS[0][1], REFERENCE_SETS[1][1]
     for x in (1, 2, 3):
-        rows.append(
-            (
-                "bernoulli_error_rate_ordering",
-                _kv([("x", x), ("terms", 8)]),
-                errs_at_8[(large_b, x)],
-                errs_at_8[(large_b, x)] >= errs_at_8[(small_b, x)],
-            )
-        )
+        err = errs_at_8[(large_b, x)]
+        ordered = err >= errs_at_8[(small_b, x)]
+        detail = _kv([("x", x), ("terms", 8)])
+        rows.append(("bernoulli_error_rate_ordering", detail, err, ordered))
     return rows
 
 
@@ -364,33 +255,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "powersum": _verify_powersum_rows,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    rows: list[tuple[str, str, float, bool]] = []
-    for name in names:
-        rows.extend(suites[name]())
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "verify",
-                "suite": args.suite,
-                "checks": [
-                    {
-                        "check": check,
-                        "params": detail,
-                        "relative_error": err,
-                        "pass": ok,
-                    }
-                    for check, detail, err, ok in rows
-                ],
-            }
-        )
-    else:
-        _comment(f"schema_version={SCHEMA_VERSION}")
-        _comment(f"command=verify suite={args.suite}")
-        writer = _csv_writer()
-        writer.writerow(["check", "params", "relative_error", "pass"])
-        for check, detail, err, ok in rows:
-            writer.writerow([check, detail, _fmt(err), _fmt(ok)])
+    rows = [row for name in names for row in suites[name]()]
+    checks = _Table(("check", "params", "relative_error", "pass"), rows)
+    echo = {"suite": args.suite}
+    _emit(args, {**echo, "checks": checks}, echo, [checks])
     return 0 if all(ok for _, _, _, ok in rows) else 1
 
 
@@ -417,58 +285,31 @@ def _parse_grid(path: str) -> list[tuple[float, float, float, int]]:
     return points
 
 
-_SWEEP_COLUMNS = ["index", "a", "b", "c", "x"] + _METRIC_COLUMNS + ["error"]
+_SWEEP_COLUMNS = ["index", "a", "b", "c", "x", *_METRIC_COLUMNS, "error"]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid_file)
-    results = sweep(grid, args.eps_tail, args.epsilon_ineq)
-    if args.format == "json":
-        entries = []
-        for res in results:
-            entry: dict[str, Any] = {
-                "index": res.index,
-                "a": res.a,
-                "b": res.b,
-                "c": res.c,
-                "x": res.x,
-                "kind": res.kind,
-                "error": res.error,
-            }
-            if res.report is not None:
-                entry.update(_report_dict(res.report))
-            entries.append(entry)
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "sweep",
-                "grid_file": args.grid_file,
-                "eps_tail": args.eps_tail,
-                "epsilon_ineq": args.epsilon_ineq,
-                "results": entries,
-            }
-        )
-        return 0
-    _comment(f"schema_version={SCHEMA_VERSION}")
-    _comment(
-        "command=sweep "
-        + _kv(
-            [
-                ("grid_file", args.grid_file),
-                ("eps_tail", args.eps_tail),
-                ("epsilon_ineq", args.epsilon_ineq),
-            ]
-        )
-    )
-    writer = _csv_writer()
-    writer.writerow(_SWEEP_COLUMNS)
-    for res in results:
-        prefix = [res.index, _fmt(res.a), _fmt(res.b), _fmt(res.c), res.x]
+    entries = []
+    for res in sweep(grid, args.eps_tail, args.epsilon_ineq):
+        # index, a, b, c, x, kind and error, in SweepResult's field order
+        entry = {
+            f.name: getattr(res, f.name)
+            for f in dataclasses.fields(res)
+            if f.name != "report"
+        }
         if res.report is not None:
-            writer.writerow(prefix + _report_row(res.report) + [""])
-        else:
-            blank = [""] * (len(_METRIC_COLUMNS) - 1)
-            writer.writerow(prefix + [res.kind or ""] + blank + [res.error or ""])
+            entry.update(zip(_METRIC_COLUMNS, _metric_values(res.report)))
+        entries.append(entry)
+    table = _Table(
+        _SWEEP_COLUMNS, [tuple(e.get(col) for col in _SWEEP_COLUMNS) for e in entries]
+    )
+    echo = {
+        "grid_file": args.grid_file,
+        "eps_tail": args.eps_tail,
+        "epsilon_ineq": args.epsilon_ineq,
+    }
+    _emit(args, {**echo, "results": entries}, echo, [table])
     return 0
 
 

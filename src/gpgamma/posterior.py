@@ -27,6 +27,7 @@ __all__ = [
     "denominator_lerch",
     "exact_posterior",
     "posterior_moments",
+    "window_moments",
 ]
 
 _MAX_TERMS = 10**7
@@ -167,10 +168,14 @@ def posterior_moments(table: PosteriorTable) -> tuple[float, float]:
             f"tail bound {table.tail_bound:.3e} exceeds {_MOMENT_TAIL_CAP:.0e}; "
             f"recompute the table with a smaller eps_tail before taking moments"
         )
-    ks = table.support
-    mu = float(np.dot(ks, table.probs))
-    var = float(np.dot(table.probs, (ks - mu) ** 2))
-    return mu, var
+    return window_moments(table.k_min, table.probs)
+
+
+def window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a pmf over k = k_min .. k_min + len(probs) - 1."""
+    ks = np.arange(k_min, k_min + len(probs))
+    mu = float(np.dot(ks, probs))
+    return mu, float(np.dot(probs, (ks - mu) ** 2))
 
 
 def denominator_lerch(params: ModelParams, x: int, eps: float = 1e-12) -> float:

@@ -14,12 +14,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .approximation import (
+    KINDS,
     DiscretePmf,
     GammaApprox,
+    build_gamma,
     discretize_gamma,
     inequality_check,
-    moment_matched_gamma,
-    theorem1_gamma,
 )
 from .errors import DomainError, NumericError, PrecisionError
 from .model import ModelParams, derive_params
@@ -28,6 +28,7 @@ from .posterior import (
     denominator_lerch,
     exact_posterior,
     posterior_moments,
+    window_moments,
 )
 from .special import lerch_phi, lerch_phi_bernoulli, reg_lower_inc_gamma
 
@@ -91,12 +92,6 @@ class SweepResult:
     error: str | None
 
 
-def _window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:
-    ks = np.arange(k_min, k_min + len(probs))
-    mu = float(np.dot(ks, probs))
-    return mu, float(np.dot(probs, (ks - mu) ** 2))
-
-
 def _dropped_term_ratio(params: ModelParams, x: int) -> float:
     # Ratio of the two Lerch terms in the normalizer; the coefficient
     # (w - 1) * x makes it vanish identically at x = 0 and m = 1.
@@ -125,6 +120,8 @@ def compare(
             f"misaligned supports: exact k={exact.k_min}..{exact.k_max}, "
             f"approx k={approx.k_min}..{approx.k_min + len(approx.probs) - 1}"
         )
+    if not epsilon_ineq > 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon_ineq!r}")
     p = exact.probs
     q = approx.probs
     tv = 0.5 * float(np.abs(p - q).sum())
@@ -132,7 +129,7 @@ def compare(
     kl = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], _KL_FLOOR))))
     sup_abs = float(np.max(np.abs(p - q)))
     mean_exact, var_exact = posterior_moments(exact)
-    mean_approx, var_approx = _window_moments(approx.k_min, q)
+    mean_approx, var_approx = window_moments(approx.k_min, q)
     params = exact.params
     x = exact.x
     holds = inequality_check(params, x, epsilon_ineq).holds if x >= 1 else True
@@ -224,34 +221,30 @@ def sweep(
     """Run both approximation kinds over (a, b, c, x) grid points.
 
     Produces two entries per point in input order.  Per-point failures are
-    recorded in the result stream instead of aborting the sweep.
+    recorded in the result stream instead of aborting the sweep; a point
+    whose table or gammas cannot be built gets one entry with kind None,
+    before any window is evaluated.
     """
     results: list[SweepResult] = []
     for index, (a, b, c, x) in enumerate(grid):
         try:
-            params = derive_params(a, b, c)
-            table = exact_posterior(params, x, eps_tail)
-            mu, var = posterior_moments(table)
+            table = exact_posterior(derive_params(a, b, c), x, eps_tail)
+            gammas = [build_gamma(kind, table) for kind in KINDS]
         except (DomainError, PrecisionError, NumericError) as exc:
             results.append(
                 SweepResult(index, a, b, c, x, kind=None, report=None, error=str(exc))
             )
             continue
-        for kind in ("theorem1", "moment_matched"):
+        for g in gammas:
             try:
-                g = (
-                    theorem1_gamma(params, x)
-                    if kind == "theorem1"
-                    else moment_matched_gamma(mu, var)
-                )
                 disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
                 report = compare(table, disc, epsilon_ineq)
                 results.append(
-                    SweepResult(index, a, b, c, x, kind, report, error=None)
+                    SweepResult(index, a, b, c, x, g.kind, report, error=None)
                 )
             except (DomainError, PrecisionError, NumericError) as exc:
                 results.append(
-                    SweepResult(index, a, b, c, x, kind, report=None, error=str(exc))
+                    SweepResult(index, a, b, c, x, g.kind, report=None, error=str(exc))
                 )
     return results
 

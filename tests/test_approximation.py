@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpgamma.approximation import (
+    KINDS,
+    build_gamma,
     discretize_gamma,
     inequality_check,
     moment_matched_gamma,
     theorem1_gamma,
 )
-from gpgamma.errors import DomainError
+from gpgamma.errors import DomainError, PrecisionError
 from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments
 from gpgamma.special import log_gamma
@@ -79,6 +81,33 @@ class TestMomentMatchedGamma:
     def test_domain(self, mu, var):
         with pytest.raises(DomainError):
             moment_matched_gamma(mu, var)
+
+
+class TestBuildGamma:
+    def test_each_kind_equals_its_constructor(self):
+        params = derive_params(*SMALL_RATE)
+        table = exact_posterior(params, 10)
+        direct = {
+            "theorem1": theorem1_gamma(params, 10),
+            "moment_matched": moment_matched_gamma(*posterior_moments(table)),
+        }
+        assert set(direct) == set(KINDS)
+        for kind in KINDS:
+            assert build_gamma(kind, table) == direct[kind]
+
+    def test_unknown_kind(self):
+        table = exact_posterior(derive_params(*SMALL_RATE), 3)
+        # the CLI's spelling of a kind is not a kind
+        with pytest.raises(DomainError, match="moment_matched"):
+            build_gamma("moment-matched", table)
+
+    def test_loose_table_refuses_only_moment_matched(self):
+        params = derive_params(*SMALL_RATE)
+        table = exact_posterior(params, 2, eps_tail=1e-4)
+        assert table.tail_bound > 1e-6
+        with pytest.raises(PrecisionError):
+            build_gamma("moment_matched", table)
+        assert build_gamma("theorem1", table) == theorem1_gamma(params, 2)
 
 
 class TestDiscretizeGamma:

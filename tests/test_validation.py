@@ -91,6 +91,12 @@ class TestCompare:
         with pytest.raises(ValueError, match="misaligned"):
             compare(table, _pmf(4, table.probs[:-3].copy()))
 
+    @pytest.mark.parametrize("x", [0, 4])
+    def test_nonpositive_epsilon_rejected_at_any_x(self, x):
+        table = exact_posterior(derive_params(*SMALL_RATE), x)
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            compare(table, _pmf(table.k_min, table.probs.copy()), epsilon_ineq=0.0)
+
     def test_unnormalized_rejected(self):
         params = derive_params(*SMALL_RATE)
         table = exact_posterior(params, 4)
