@@ -33,6 +33,24 @@ __all__ = [
 
 KINDS = ("theorem1", "moment_matched")
 
+# 10-node Gauss-Legendre rule on [-1, 1], equal to
+# numpy.polynomial.legendre.leggauss(10); spelled out so that importing this
+# module does not load numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+])
+# Windows per numpy block: each (block, 10) float temporary stays ~320 kB.
+_GL_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class GammaApprox:
@@ -118,22 +136,37 @@ def discretize_gamma(
 ) -> DiscretePmf:
     """Integrate the gamma density over half-integer windows [k-1/2, k+1/2].
 
-    probs[k] = P(shape, (k+1/2)/scale) - P(shape, (k-1/2)/scale), with the
-    k = 0 window clipped to start at 0 (the density has no mass below 0).
+    Every window k >= 2 is a 10-node Gauss-Legendre rule applied to the
+    density exp((shape-1) log t - t/scale - lgamma(shape) - shape log(scale)),
+    evaluated with numpy in fixed-size blocks.  No window differences two
+    CDF values, so far upper-tail windows keep their relative accuracy
+    (~1e-11 against mpmath) until their mass underflows below ~1e-300.
+    The head windows k <= 1 stay differences of P(shape, t/scale), with the
+    k = 0 window clipped to start at 0: for shape < 1 the density is
+    singular at 0, too close to [1/2, 3/2] for a polynomial rule.
     With ``renormalize`` the window probabilities are rescaled to sum to one.
     """
     if k_min < 0:
         raise DomainError(f"k_min must be >= 0, got {k_min}")
     if k_max < k_min:
         raise DomainError(f"k_max must be >= k_min, got k_min={k_min}, k_max={k_max}")
-    # Consecutive windows share edges: one CDF evaluation per edge.
-    lo_edge = max(k_min - 0.5, 0.0)
-    cdf = [reg_lower_inc_gamma(g.shape, lo_edge / g.scale)]
-    cdf.extend(
-        reg_lower_inc_gamma(g.shape, (k + 0.5) / g.scale)
-        for k in range(k_min, k_max + 1)
-    )
-    probs = np.maximum(np.diff(np.asarray(cdf)), 0.0)
+    probs = np.empty(k_max - k_min + 1)
+    head = range(k_min, min(k_max, 1) + 1)
+    if head:
+        # Consecutive windows share edges: one CDF evaluation per edge.
+        edges = [max(k_min - 0.5, 0.0), *(k + 0.5 for k in head)]
+        cdf = [reg_lower_inc_gamma(g.shape, edge / g.scale) for edge in edges]
+        probs[: len(head)] = np.maximum(np.diff(cdf), 0.0)
+    log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
+    offsets = 0.5 * _GL_NODES
+    weights = 0.5 * _GL_WEIGHTS
+    for start in range(max(k_min, 2), k_max + 1, _GL_BLOCK):
+        stop = min(start + _GL_BLOCK, k_max + 1)
+        t = np.arange(start, stop, dtype=float)[:, None] + offsets
+        log_f = (g.shape - 1.0) * np.log(t) - t / g.scale - log_norm
+        # elementwise multiply-and-sum, not BLAS: a window's value must not
+        # depend on its block, and threaded BLAS costs ms per call
+        probs[start - k_min : stop - k_min] = (np.exp(log_f) * weights).sum(axis=1)
     raw_total = float(probs.sum())
     if renormalize:
         if raw_total <= 0.0:

@@ -1,9 +1,9 @@
 """Scalar special-function kernel.
 
-Log-gamma, the regularized lower incomplete gamma function, Bernoulli
-numbers and polynomials, integer power sums, and the Lerch transcendent
-for non-positive integer order.  All functions are pure and stateless and
-may be called concurrently from any number of threads.
+Log-gamma, the regularized lower and upper incomplete gamma functions,
+Bernoulli numbers and polynomials, integer power sums, and the Lerch
+transcendent for non-positive integer order.  All functions are pure and
+stateless and may be called concurrently from any number of threads.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "log_gamma",
     "power_sum",
     "reg_lower_inc_gamma",
+    "reg_upper_inc_gamma",
 ]
 
 MAX_BERNOULLI_ORDER = 60
@@ -61,12 +62,36 @@ def reg_lower_inc_gamma(u: float, v: float) -> float:
         DomainError: if ``u <= 0``, ``v < 0`` or either argument is not finite.
         NumericError: if the iteration cap is hit before convergence.
     """
+    return _reg_inc_gamma(u, v, upper=False)
+
+
+def reg_upper_inc_gamma(u: float, v: float) -> float:
+    """Regularized upper incomplete gamma function Q(u, v) = 1 - P(u, v).
+
+    Same two branches as ``reg_lower_inc_gamma``.  When v >= u + 1, Q comes
+    straight from the continued fraction, so far upper tails keep their
+    relative accuracy where 1 - P would cancel to 0.  On the series side
+    (v < u + 1) it returns 1 - P, which loses digits only for tiny ``u``.
+
+    Returns a value in [0, 1], non-increasing in ``v`` for fixed ``u``.
+
+    Raises:
+        DomainError: if ``u <= 0``, ``v < 0`` or either argument is not finite.
+        NumericError: if the iteration cap is hit before convergence.
+    """
+    return _reg_inc_gamma(u, v, upper=True)
+
+
+def _reg_inc_gamma(u: float, v: float, upper: bool) -> float:
+    # P(u, v), or Q(u, v) when ``upper``: the series gives P, the continued
+    # fraction gives Q, and the other one is the complement of the one found.
+    name = "reg_upper_inc_gamma" if upper else "reg_lower_inc_gamma"
     if not math.isfinite(u) or u <= 0.0:
-        raise DomainError(f"reg_lower_inc_gamma requires finite u > 0, got u={u!r}")
+        raise DomainError(f"{name} requires finite u > 0, got u={u!r}")
     if not math.isfinite(v) or v < 0.0:
-        raise DomainError(f"reg_lower_inc_gamma requires finite v >= 0, got v={v!r}")
+        raise DomainError(f"{name} requires finite v >= 0, got v={v!r}")
     if v == 0.0:
-        return 0.0
+        return 1.0 if upper else 0.0
 
     # Shared prefactor v^u e^{-v} / Gamma(u); underflows harmlessly to 0
     # far out in either tail.
@@ -82,7 +107,8 @@ def reg_lower_inc_gamma(u: float, v: float) -> float:
             term *= v / den
             total += term
             if abs(term) < abs(total) * _EPS:
-                return min(1.0, total * math.exp(log_front))
+                p = min(1.0, total * math.exp(log_front))
+                return 1.0 - p if upper else p
         raise NumericError(
             f"incomplete gamma series did not converge for u={u}, v={v}"
         )
@@ -105,7 +131,8 @@ def reg_lower_inc_gamma(u: float, v: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return max(0.0, 1.0 - math.exp(log_front) * h)
+            q = math.exp(log_front) * h
+            return min(1.0, q) if upper else max(0.0, 1.0 - q)
     raise NumericError(
         f"incomplete gamma continued fraction did not converge for u={u}, v={v}"
     )

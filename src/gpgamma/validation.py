@@ -30,7 +30,12 @@ from .posterior import (
     posterior_moments,
     window_moments,
 )
-from .special import lerch_phi, lerch_phi_bernoulli, reg_lower_inc_gamma
+from .special import (
+    lerch_phi,
+    lerch_phi_bernoulli,
+    reg_lower_inc_gamma,
+    reg_upper_inc_gamma,
+)
 
 __all__ = [
     "ComparisonReport",
@@ -162,7 +167,7 @@ def full_support_tv(exact: PosteriorTable, g: GammaApprox) -> float:
     """
     disc = discretize_gamma(g, exact.k_min, exact.k_max, renormalize=False)
     below = reg_lower_inc_gamma(g.shape, max(exact.k_min - 0.5, 0.0) / g.scale)
-    above = 1.0 - reg_lower_inc_gamma(g.shape, (exact.k_max + 0.5) / g.scale)
+    above = reg_upper_inc_gamma(g.shape, (exact.k_max + 0.5) / g.scale)
     return 0.5 * (float(np.abs(exact.probs - disc.probs).sum()) + below + above)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
@@ -39,6 +40,19 @@ def quad_reg_lower_inc_gamma(u: float, v: float) -> float:
             integrand, 0.0, math.sqrt(v), epsabs=1e-14, epsrel=1e-14, limit=300
         )
     return value
+
+
+def mpmath_window_mass(shape: float, scale: float, k: int) -> float:
+    """Gamma(shape, scale) mass of the window [k - 1/2, k + 1/2], clipped at 0.
+
+    One mpmath regularized incomplete gamma over the window at 50 digits, so
+    tail windows far below 1e-16 come out with full relative accuracy.
+    """
+    with mpmath.workdps(50):
+        s = mpmath.mpf(scale)
+        lo = mpmath.mpf(max(k - 0.5, 0.0)) / s
+        hi = mpmath.mpf(k + 0.5) / s
+        return float(mpmath.gammainc(mpmath.mpf(shape), lo, hi, regularized=True))
 
 
 def direct_gp_pmf(params: ModelParams, k: int, x: int) -> float:

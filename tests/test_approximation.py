@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpgamma.approximation import (
+    _GL_BLOCK,
+    _GL_NODES,
+    _GL_WEIGHTS,
     KINDS,
+    GammaApprox,
     build_gamma,
     discretize_gamma,
     inequality_check,
@@ -18,8 +22,11 @@ from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments
 from gpgamma.special import log_gamma
 
+from oracles import mpmath_window_mass
+
 SMALL_RATE = (1.5, 0.1, -0.05)
-LARGE_RATE = (1.5, 0.5, -0.05)
+LARGE_RATE = (1.5, 0.5, -0.05)  # rate 0.71
+TINY_RATE = (0.0, 0.01 / 0.998, 2.0 * math.log(0.998))  # rate 0.01, w = 1.2
 
 
 class TestTheorem1Gamma:
@@ -158,6 +165,81 @@ class TestDiscretizeGamma:
         params = derive_params(*SMALL_RATE)
         disc = discretize_gamma(theorem1_gamma(params, 2), 2, 30, renormalize=True)
         assert disc.kind == "theorem1"
+
+
+class TestWindowMassAccuracy:
+    """Window masses against mpmath, relative error on every sampled window."""
+
+    @staticmethod
+    def _sample(disc, n_head=4, n_body=25, n_tail=4):
+        # head, evenly spaced body and tail of the window, plus the edges of
+        # the representable region on either side of the mode
+        n = len(disc.probs)
+        idx = set(range(min(n_head, n))) | set(range(max(n - n_tail, 0), n))
+        idx |= {int(i) for i in np.linspace(0, n - 1, n_body)}
+        live = np.flatnonzero(disc.probs > 1e-290)
+        if live.size:
+            for edge in (live[0], live[-1]):
+                idx |= {i for i in range(edge - 2, edge + 3) if 0 <= i < n}
+        return sorted(idx)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("point,x", [(LARGE_RATE, 10), (TINY_RATE, 1000)])
+    def test_head_body_and_tail_windows(self, point, x, kind):
+        table = exact_posterior(derive_params(*point), x)
+        g = build_gamma(kind, table)
+        disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=False)
+        checked = 0
+        for i in self._sample(disc):
+            k = table.k_min + i
+            true = mpmath_window_mass(g.shape, g.scale, k)
+            if true < 1e-300:
+                continue
+            assert disc.probs[i] == pytest.approx(true, rel=1e-10, abs=0.0), k
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            moment_matched_gamma(1.0, 2.0),  # shape 0.5, scale 2
+            GammaApprox(shape=0.1, scale=0.7, kind="test"),
+            # the moment-matched gamma of the b=0.5 reference set at x=0
+            build_gamma("moment_matched", exact_posterior(derive_params(*LARGE_RATE), 0)),
+        ],
+    )
+    def test_head_windows_at_shape_below_one(self, g):
+        assert g.shape < 1.0
+        disc = discretize_gamma(g, 0, 3, renormalize=False)
+        for k in range(4):
+            true = mpmath_window_mass(g.shape, g.scale, k)
+            assert disc.probs[k] == pytest.approx(true, rel=1e-13, abs=0.0), k
+
+    @given(
+        k_min=st.integers(min_value=0, max_value=40),
+        length=st.integers(min_value=2, max_value=2 * _GL_BLOCK + 50),
+        cut=st.floats(min_value=0.0, max_value=1.0),
+        shape=st.floats(min_value=0.2, max_value=500.0),
+        scale=st.floats(min_value=0.5, max_value=200.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_window_is_the_concatenation_of_its_halves(
+        self, k_min, length, cut, shape, scale
+    ):
+        g = GammaApprox(shape=shape, scale=scale, kind="test")
+        k_max = k_min + length - 1
+        split = k_min + 1 + int(cut * (length - 2))  # first k of the right half
+        whole = discretize_gamma(g, k_min, k_max, renormalize=False)
+        left = discretize_gamma(g, k_min, split - 1, renormalize=False)
+        right = discretize_gamma(g, split, k_max, renormalize=False)
+        np.testing.assert_array_equal(whole.probs, np.concatenate([left.probs, right.probs]))
+
+    def test_nodes_and_weights_are_the_10_point_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(10)
+        np.testing.assert_array_equal(_GL_NODES, nodes)
+        np.testing.assert_array_equal(_GL_WEIGHTS, weights)
 
 
 class TestInequalityCheck:

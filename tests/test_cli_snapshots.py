@@ -3,7 +3,9 @@
 Every subcommand runs in-process through ``cli.main`` in both formats, and
 its stdout is compared with a fixture under ``tests/fixtures/cli/``.  A
 moved snapshot means the printed output changed: fix the code.  Only a
-deliberate change of the output format rewrites the fixtures, with
+deliberate change of the output format, or an accuracy fix whose moved
+fields are checked against an independent oracle (as the window masses are
+below), rewrites the fixtures, with
 
     PYTHONPATH=src python3 tests/test_cli_snapshots.py
 """
@@ -16,6 +18,9 @@ from pathlib import Path
 import pytest
 
 import gpgamma.cli as cli
+from gpgamma import KINDS, build_gamma, derive_params, exact_posterior
+
+from oracles import mpmath_window_mass
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 REF = ["-a", "1.5", "-b", "0.5", "-c", "-0.05"]  # the b=0.5 reference set
@@ -60,6 +65,36 @@ def test_compare_refuses_nonpositive_epsilon_at_any_x(x, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "epsilon must be positive" in captured.err
+
+
+def _csv_rows(name: str, columns: str) -> list[list[str]]:
+    """Fields of the rows under the column line ``columns`` in a CSV fixture."""
+    lines = (FIXTURES / name).read_text().splitlines()
+    start = lines.index(columns) + 1
+    rows = []
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        rows.append(line.split(","))
+    return rows
+
+
+@pytest.mark.parametrize("x", [0, 3])
+def test_window_masses_match_the_oracle(x):
+    # Every window-mass field of the approx and compare fixtures at 12
+    # significant digits: raw masses in approx, renormalized ones in the
+    # compare overlay.
+    table = exact_posterior(derive_params(1.5, 0.5, -0.05), x)
+    overlay = _csv_rows(f"compare_x{x}.csv", "k,exact,theorem1,moment_matched")
+    for column, kind in enumerate(KINDS, start=2):
+        g = build_gamma(kind, table)
+        masses = [mpmath_window_mass(g.shape, g.scale, int(k)) for k in table.support]
+        approx = _csv_rows(f"approx_{kind.replace('_', '-')}_x{x}.csv", "k,prob")
+        assert [row[1] for row in approx] == [format(m, ".12g") for m in masses]
+        total = sum(masses)
+        assert [row[column] for row in overlay] == [
+            format(m / total, ".12g") for m in masses
+        ]
 
 
 def _write_fixtures() -> None:

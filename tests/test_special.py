@@ -15,6 +15,7 @@ from gpgamma.special import (
     log_gamma,
     power_sum,
     reg_lower_inc_gamma,
+    reg_upper_inc_gamma,
 )
 
 from oracles import lerch_partial_sum, quad_reg_lower_inc_gamma
@@ -82,6 +83,45 @@ class TestRegLowerIncGamma:
     def test_domain(self, u, v):
         with pytest.raises(DomainError):
             reg_lower_inc_gamma(u, v)
+
+
+class TestRegUpperIncGamma:
+    @pytest.mark.parametrize(
+        "u,v",
+        # upper tails, where 1 - P cancels to a few digits or to 0 (it is
+        # exactly 0 at (11, 80)), and one point just past the branch split
+        [
+            (0.5, 40.0),
+            (1.0, 50.0),
+            (11.0, 60.0),
+            (11.0, 80.0),
+            (11.0, 300.0),
+            (1001.0, 1500.0),
+            (4.0, 5.5),
+        ],
+    )
+    def test_tail_against_mpmath(self, u, v):
+        with mpmath.workdps(50):
+            true = float(mpmath.gammainc(mpmath.mpf(u), mpmath.mpf(v), regularized=True))
+        assert reg_upper_inc_gamma(u, v) == pytest.approx(true, rel=1e-13, abs=0.0)
+
+    @given(
+        u=st.floats(min_value=0.05, max_value=200.0),
+        v=st.floats(min_value=0.0, max_value=400.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_complements_the_lower_function(self, u, v):
+        q = reg_upper_inc_gamma(u, v)
+        assert 0.0 <= q <= 1.0
+        assert q + reg_lower_inc_gamma(u, v) == pytest.approx(1.0, abs=1e-14)
+
+    def test_zero_limit(self):
+        assert reg_upper_inc_gamma(3.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("u,v", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5), (math.nan, 1.0)])
+    def test_domain(self, u, v):
+        with pytest.raises(DomainError, match="reg_upper_inc_gamma"):
+            reg_upper_inc_gamma(u, v)
 
 
 class TestBernoulliNumbers:
