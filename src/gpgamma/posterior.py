@@ -7,8 +7,11 @@ proportional to the likelihood, whose log-weight is
 
 For x = 0 the likelihood collapses to exp(-rate * k) on k >= 0, a geometric
 distribution.  The infinite normalizer is truncated under a rigorous
-geometric tail bound and accumulated with streaming log-sum-exp, so tables
-for large x never leave log space until the final normalization.
+geometric tail bound.  The log-weights are evaluated in numpy blocks that
+carry a streaming log-sum-exp (running max and scaled partial sum) from one
+block to the next, so the stopping term is found without leaving log space
+and tables for large x never leave it until the final normalization.  A
+table is capped at 10^7 entries; one that needs more is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ __all__ = [
     "window_moments",
 ]
 
+# Largest table exact_posterior builds, in entries (~80 MB of log-weights).
 _MAX_TERMS = 10**7
+# Terms per numpy block: each float temporary stays ~128 kB.
+_BLOCK = 16384
 _MOMENT_TAIL_CAP = 1e-6
 
 
@@ -59,18 +65,6 @@ class PosteriorTable:
         return np.arange(self.k_min, self.k_max + 1)
 
 
-def _log_weight_fn(params: ModelParams, x: int):
-    rate = params.rate
-    if x == 0:
-        return lambda k: -rate * k
-    g = (params.w - 1.0) * x
-
-    def lw(k: int) -> float:
-        return math.log(k) + (x - 1) * math.log(k + g) - rate * k
-
-    return lw
-
-
 def exact_posterior(
     params: ModelParams, x: int, eps_tail: float = 1e-10
 ) -> PosteriorTable:
@@ -83,11 +77,24 @@ def exact_posterior(
     partial sum, drops below ``eps_tail``.  Probabilities are normalized
     over the truncated support.
 
+    The log-weights are evaluated in numpy blocks.  The first block is sized
+    from the expected table length, (j0 - x) + ceil(-2 log(eps_tail)/rate)
+    + 64 terms, and later blocks double; every block is capped at ``_BLOCK``
+    terms (~128 kB per temporary).  Each block carries the running max and
+    scaled partial sum of the blocks before it (streaming log-sum-exp), so
+    every term is tested against the partial sum up to and including it,
+    as a per-term loop would.  The normalizer is then summed once over the
+    whole table, so the probabilities do not depend on the block size.
+
+    The table holds at most ``_MAX_TERMS`` (10^7) entries, ~80 MB of
+    log-weights; a table that needs more is refused, not truncated early.
+
     Raises:
         DomainError: for invalid x or eps_tail, or when x > 0 and w <= 0
             (the weights would hit non-positive bases on the support).
-        NumericError: if the term cap is exhausted before the tail bound
-            clears eps_tail.
+        NumericError: if the tail bound has not cleared eps_tail within
+            ``_MAX_TERMS`` terms; the message gives the terms evaluated and
+            the tail bound achieved.
     """
     if x < 0:
         raise DomainError(f"x must be a non-negative integer, got x={x}")
@@ -99,11 +106,10 @@ def exact_posterior(
         )
 
     rate = params.rate
-    lw = _log_weight_fn(params, x)
+    g = (params.w - 1.0) * x
     if x == 0:
         j0 = 0
     else:
-        g = (params.w - 1.0) * x
         j0 = max(x, math.ceil(2 * (x - 1) / rate), math.ceil(2 * abs(g)))
 
     log_ratio_cap = -0.5 * rate
@@ -111,45 +117,57 @@ def exact_posterior(
     log_tail_factor = math.log(r / (1.0 - r))
     log_eps = math.log(eps_tail)
 
-    log_weights: list[float] = []
-    running_max = -math.inf
-    scaled_sum = 0.0  # sum of exp(lw - running_max)
-    prev = None
-    tail_bound = math.inf
-    k = x
+    blocks: list[np.ndarray] = []
+    size = min(_BLOCK, (j0 - x) + math.ceil(-2.0 * log_eps / rate) + 64)
+    top = -math.inf  # running max of the log-weights so far
+    carry = 0.0  # sum of exp(lw - top) over the earlier blocks
+    prev = -math.inf  # last log-weight of the previous block
+    start = x
     while True:
-        v = lw(k)
-        log_weights.append(v)
-        if v > running_max:
-            scaled_sum = scaled_sum * math.exp(running_max - v) + 1.0
-            running_max = v
+        stop = min(start + size, x + _MAX_TERMS)
+        ks = np.arange(start, stop, dtype=float)
+        if x == 0:
+            lw = -rate * ks
         else:
-            scaled_sum += math.exp(v - running_max)
-        if k > j0 and prev is not None and v - prev <= log_ratio_cap:
-            log_bound = v + log_tail_factor
-            log_partial = running_max + math.log(scaled_sum)
-            if log_bound - log_partial < log_eps:
-                tail_bound = math.exp(log_bound - log_partial)
-                break
-        prev = v
-        k += 1
-        if k - x >= _MAX_TERMS:
-            achieved = math.exp(
-                v + log_tail_factor - running_max - math.log(scaled_sum)
-            )
+            lw = np.log(ks) + (x - 1) * np.log(ks + g) - rate * ks
+        m = max(top, float(lw.max()))
+        # before the mode a prefix sum can underflow to 0; its log is -inf,
+        # and those terms lie below j0, so they never stop the loop
+        scaled = carry * math.exp(top - m) + np.cumsum(np.exp(lw - m))
+        with np.errstate(divide="ignore"):
+            log_partial = m + np.log(scaled)
+        step = np.diff(lw, prepend=prev)
+        stops = (
+            (ks > j0)
+            & (step <= log_ratio_cap)
+            & (lw + log_tail_factor - log_partial < log_eps)
+        )
+        i = int(stops.argmax())
+        if stops[i]:
+            blocks.append(lw[: i + 1])
+            tail_bound = math.exp(lw[i] + log_tail_factor - log_partial[i])
+            break
+        blocks.append(lw)
+        if stop - x >= _MAX_TERMS:
+            achieved = math.exp(lw[-1] + log_tail_factor - log_partial[-1])
             raise NumericError(
-                f"posterior truncation cap of {_MAX_TERMS} terms reached at "
-                f"x={x}, eps_tail={eps_tail}; achieved tail bound {achieved:.3e}"
+                f"posterior table size limit of {_MAX_TERMS} entries reached: "
+                f"{stop - x} terms evaluated at x={x}, eps_tail={eps_tail}; "
+                f"achieved tail bound {achieved:.3e}"
             )
+        top, carry, prev = m, float(scaled[-1]), float(lw[-1])
+        start = stop
+        size = min(2 * size, _BLOCK)
 
-    lws = np.asarray(log_weights)
-    log_normalizer = running_max + math.log(scaled_sum)
+    lws = np.concatenate(blocks)
+    peak = float(lws.max())
+    log_normalizer = peak + math.log(float(np.exp(lws - peak).sum()))
     probs = np.exp(lws - log_normalizer)
     return PosteriorTable(
         params=params,
         x=x,
         k_min=x,
-        k_max=k,
+        k_max=x + len(lws) - 1,
         log_weights=lws,
         probs=probs,
         tail_bound=tail_bound,

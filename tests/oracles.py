@@ -14,7 +14,9 @@ import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from gpgamma.errors import NumericError
 from gpgamma.model import ModelParams
+from gpgamma.posterior import PosteriorTable
 
 
 def quad_reg_lower_inc_gamma(u: float, v: float) -> float:
@@ -111,3 +113,70 @@ def direct_denominator_sum(params: ModelParams, x: int) -> float:
         j += 1
         if j > peak and term < total * 1e-18:
             return total
+
+
+def streaming_posterior(params: ModelParams, x: int, eps_tail: float) -> PosteriorTable:
+    """Posterior table by the per-term streaming log-sum-exp loop.
+
+    The scalar route ``exact_posterior`` replaced with numpy blocks: one
+    Python iteration per term, the same truncation rule (past j0, stop at
+    the first k whose step is at most -rate/2 and whose geometric tail
+    bound, relative to the running partial sum, is below ``eps_tail``) and
+    a streaming normalizer.  Assumes the inputs are inside the domain.
+    """
+    rate = params.rate
+    if x == 0:
+        j0 = 0
+
+        def lw(k: int) -> float:
+            return -rate * k
+    else:
+        g = (params.w - 1.0) * x
+        j0 = max(x, math.ceil(2 * (x - 1) / rate), math.ceil(2 * abs(g)))
+
+        def lw(k: int) -> float:
+            return math.log(k) + (x - 1) * math.log(k + g) - rate * k
+
+    log_ratio_cap = -0.5 * rate
+    r = math.exp(log_ratio_cap)
+    log_tail_factor = math.log(r / (1.0 - r))
+    log_eps = math.log(eps_tail)
+
+    log_weights: list[float] = []
+    running_max = -math.inf
+    scaled_sum = 0.0  # sum of exp(lw - running_max)
+    prev = None
+    tail_bound = math.inf
+    k = x
+    while True:
+        v = lw(k)
+        log_weights.append(v)
+        if v > running_max:
+            scaled_sum = scaled_sum * math.exp(running_max - v) + 1.0
+            running_max = v
+        else:
+            scaled_sum += math.exp(v - running_max)
+        if k > j0 and prev is not None and v - prev <= log_ratio_cap:
+            log_bound = v + log_tail_factor
+            log_partial = running_max + math.log(scaled_sum)
+            if log_bound - log_partial < log_eps:
+                tail_bound = math.exp(log_bound - log_partial)
+                break
+        prev = v
+        k += 1
+        if k - x >= 10**7:
+            raise NumericError(f"streaming oracle reached 10^7 terms at x={x}")
+
+    lws = np.asarray(log_weights)
+    log_normalizer = running_max + math.log(scaled_sum)
+    probs = np.exp(lws - log_normalizer)
+    return PosteriorTable(
+        params=params,
+        x=x,
+        k_min=x,
+        k_max=k,
+        log_weights=lws,
+        probs=probs,
+        tail_bound=tail_bound,
+        log_normalizer=log_normalizer,
+    )

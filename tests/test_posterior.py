@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gpgamma.posterior as posterior_mod
 from gpgamma.errors import DomainError, NumericError, PrecisionError
@@ -13,7 +15,12 @@ from gpgamma.posterior import (
     posterior_moments,
 )
 
-from oracles import brute_posterior, brute_moments, direct_denominator_sum
+from oracles import (
+    brute_moments,
+    brute_posterior,
+    direct_denominator_sum,
+    streaming_posterior,
+)
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)
@@ -97,6 +104,90 @@ class TestExactPosterior:
         params = derive_params(*SMALL_RATE)
         with pytest.raises(NumericError, match="tail bound"):
             exact_posterior(params, 5)
+
+    def test_table_size_limit_clips_the_last_block(self, monkeypatch):
+        # the table below needs ~471k terms; a 20,000-entry limit falls
+        # inside its second block, which must be cut at the limit
+        monkeypatch.setattr(posterior_mod, "_MAX_TERMS", 20_000)
+        evaluated = []
+        arange = np.arange
+
+        def counting_arange(*args, **kwargs):
+            ks = arange(*args, **kwargs)
+            evaluated.append(len(ks))
+            return ks
+
+        monkeypatch.setattr(np, "arange", counting_arange)
+        params = derive_params(0.0, 1e-4, 0.0)
+        with pytest.raises(NumericError) as info:
+            exact_posterior(params, 10, eps_tail=1e-10)
+        assert sum(evaluated) == 20_000
+        assert len(evaluated) == 2
+        message = str(info.value)
+        assert "limit of 20000 entries" in message
+        assert "20000 terms evaluated" in message
+        assert "x=10" in message and "eps_tail=1e-10" in message
+        assert "achieved tail bound" in message
+
+    def test_many_block_table(self):
+        # rate 1e-4 at x=10: ~471k terms, 29 blocks of the default size
+        params = derive_params(0.0, 1e-4, 0.0)
+        table = exact_posterior(params, 10, eps_tail=1e-10)
+        assert len(table.probs) > 28 * posterior_mod._BLOCK
+        assert table.k_max == streaming_posterior(params, 10, 1e-10).k_max
+        assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert table.tail_bound <= 1e-10
+        mu, _ = posterior_moments(table)
+        assert mu == pytest.approx(11 / params.rate, rel=1e-4)
+
+
+def _domain_point(b, m, x, max_terms):
+    """Params at (b, m) and x clipped so the table stays near max_terms."""
+    params = derive_params(0.0, b, math.log(m))
+    assume(params.rate >= 0.005)
+    x = min(x, int(params.rate * max_terms / 2))
+    assume(x == 0 or params.w > 0.0)
+    return params, x
+
+
+class TestBlockedEngine:
+    """The numpy-blocked engine against the per-term loop it replaced."""
+
+    @given(
+        b=st.floats(0.01, 0.999),
+        m=st.floats(0.01, 3.99),
+        x=st.integers(0, 2000),
+        log10_eps=st.floats(-13.0, -3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_streaming_loop(self, b, m, x, log10_eps):
+        params, x = _domain_point(b, m, x, 20_000)
+        eps = 10.0**log10_eps
+        table = exact_posterior(params, x, eps)
+        oracle = streaming_posterior(params, x, eps)
+        assert table.k_max == oracle.k_max
+        assert table.tail_bound == pytest.approx(oracle.tail_bound, rel=1e-12, abs=0.0)
+        # atol only admits entries that underflow to subnormals on one side
+        np.testing.assert_allclose(table.probs, oracle.probs, rtol=1e-10, atol=1e-300)
+
+    @given(
+        b=st.floats(0.05, 0.999),
+        m=st.floats(0.25, 3.99),
+        x=st.integers(0, 200),
+        log10_eps=st.floats(-13.0, -3.0),
+        block=st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_size_does_not_change_the_table(self, b, m, x, log10_eps, block):
+        params, x = _domain_point(b, m, x, 1_000)
+        eps = 10.0**log10_eps
+        table = exact_posterior(params, x, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posterior_mod, "_BLOCK", block)
+            blocked = exact_posterior(params, x, eps)
+        assert blocked.k_max == table.k_max
+        assert np.array_equal(blocked.probs, table.probs)
+        assert blocked.log_normalizer == table.log_normalizer
 
 
 class TestPosteriorMoments:
