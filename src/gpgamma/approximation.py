@@ -48,7 +48,7 @@ _GL_WEIGHTS = np.array([
     0.2692667193099965, 0.219086362515982, 0.1494513491505804,
     0.06667134430868814,
 ])
-# Windows per numpy block: each (block, 10) float temporary stays ~320 kB.
+# Windows per numpy block: each (10, block) float temporary stays ~320 kB.
 _GL_BLOCK = 4096
 
 
@@ -138,9 +138,14 @@ def discretize_gamma(
 
     Every window k >= 2 is a 10-node Gauss-Legendre rule applied to the
     density exp((shape-1) log t - t/scale - lgamma(shape) - shape log(scale)),
-    evaluated with numpy in fixed-size blocks.  No window differences two
-    CDF values, so far upper-tail windows keep their relative accuracy
-    (~1e-11 against mpmath) until their mass underflows below ~1e-300.
+    evaluated with numpy in blocks of up to ``_GL_BLOCK`` windows.  A block
+    is laid out node-major, one row per node: every step is one in-place
+    pass, and the rule adds whole rows in the order numpy's pairwise sum
+    takes over 10 terms, so a window's mass equals, bit for bit, the row sum
+    of a (windows, 10) layout and does not depend on its block.  No window
+    differences two CDF values, so far upper-tail windows keep their
+    relative accuracy (~1e-11 against mpmath) until their mass underflows
+    below ~1e-300.
     The head windows k <= 1 stay differences of P(shape, t/scale), with the
     k = 0 window clipped to start at 0: for shape < 1 the density is
     singular at 0, too close to [1/2, 3/2] for a polynomial rule.
@@ -162,11 +167,22 @@ def discretize_gamma(
     weights = 0.5 * _GL_WEIGHTS
     for start in range(max(k_min, 2), k_max + 1, _GL_BLOCK):
         stop = min(start + _GL_BLOCK, k_max + 1)
-        t = np.arange(start, stop, dtype=float)[:, None] + offsets
-        log_f = (g.shape - 1.0) * np.log(t) - t / g.scale - log_norm
-        # elementwise multiply-and-sum, not BLAS: a window's value must not
-        # depend on its block, and threaded BLAS costs ms per call
-        probs[start - k_min : stop - k_min] = (np.exp(log_f) * weights).sum(axis=1)
+        t = np.arange(start, stop, dtype=float) + offsets[:, None]
+        f = np.log(t)
+        f *= g.shape - 1.0
+        t /= g.scale
+        f -= t
+        f -= log_norm
+        np.exp(f, out=f)
+        f *= weights[:, None]
+        # numpy's pairwise order for a row of 10:
+        # ((f0+f1)+(f2+f3)) + ((f4+f5)+(f6+f7)), then f8, then f9
+        f[0:8:2] += f[1:8:2]
+        f[0:8:4] += f[2:8:4]
+        f[0] += f[4]
+        f[0] += f[8]
+        f[0] += f[9]
+        probs[start - k_min : stop - k_min] = f[0]
     raw_total = float(probs.sum())
     if renormalize:
         if raw_total <= 0.0:

@@ -6,7 +6,8 @@ discretized pmf), ``compare`` (metrics plus plot-ready overlay columns),
 file driver).  Output is CSV (default) or a single JSON document; repeated
 runs with identical flags produce byte-identical output.
 
-Exit status: 0 success, 1 domain or tolerance failure, 2 usage error.
+Exit status: 0 success, 1 domain or tolerance failure, 2 usage error,
+141 when stdout is a pipe whose reader closed it early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -405,4 +407,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Console entry point: exit with ``main``'s status, 141 on a closed pipe."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``): send the unflushed rest of
+        # stdout to devnull so the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE, as a shell reports a pipe-killed program
+    raise SystemExit(status)

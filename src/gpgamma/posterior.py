@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class PosteriorTable:
     def support(self) -> np.ndarray:
         """Integer support k_min .. k_max as an array."""
         return np.arange(self.k_min, self.k_max + 1)
+
+    @cached_property
+    def _moments(self) -> tuple[float, float]:
+        # reduced once per table, however many callers take the moments
+        return window_moments(self.k_min, self.probs)
 
 
 def exact_posterior(
@@ -186,7 +192,7 @@ def posterior_moments(table: PosteriorTable) -> tuple[float, float]:
             f"tail bound {table.tail_bound:.3e} exceeds {_MOMENT_TAIL_CAP:.0e}; "
             f"recompute the table with a smaller eps_tail before taking moments"
         )
-    return window_moments(table.k_min, table.probs)
+    return table._moments
 
 
 def window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:

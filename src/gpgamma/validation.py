@@ -61,8 +61,10 @@ class ComparisonReport:
     posterior to the approximation, both over the common support window with
     the approximation renormalized there.  ``dropped_term_ratio`` is the
     second-to-first term ratio of the Lerch form of the normalizer, the
-    sqrt(m) ~ 1 diagnostic; ``raw_total`` is the approximation's window mass
-    before renormalization.
+    sqrt(m) ~ 1 diagnostic.  Like ``mean_exact`` it is taken under the
+    truncated table, as g E[1/k] / (1 + g E[1/k]) with g = (w-1) x, so its
+    relative error is at most about the table's eps_tail.  ``raw_total`` is
+    the approximation's window mass before renormalization.
     """
 
     a: float
@@ -97,16 +99,16 @@ class SweepResult:
     error: str | None
 
 
-def _dropped_term_ratio(params: ModelParams, x: int) -> float:
-    # Ratio of the two Lerch terms in the normalizer; the coefficient
-    # (w - 1) * x makes it vanish identically at x = 0 and m = 1.
-    if x == 0 or params.w == 1.0:
+def _dropped_term_ratio(table: PosteriorTable) -> float:
+    # Ratio of the two Lerch terms in the normalizer, taken under the table:
+    # splitting (j+g)^x = j (j+g)^(x-1) + g (j+g)^(x-1) with g = (w-1) x gives
+    # g E[1/k] / (1 + g E[1/k]).  It vanishes identically at x = 0 and m = 1,
+    # and 1 + g E[1/k] > 0 because k >= x and g > -x when w > 0.
+    g = (table.params.w - 1.0) * table.x
+    if g == 0.0:
         return 0.0
-    a = params.w * x
-    z = math.exp(-params.rate)
-    first = lerch_phi(z, -x, a)
-    second = (params.w - 1.0) * x * lerch_phi(z, -(x - 1), a)
-    return second / first
+    ge = g * float((table.probs / table.support).sum())
+    return ge / (1.0 + ge)
 
 
 def compare(
@@ -152,7 +154,7 @@ def compare(
         var_exact=var_exact,
         mean_approx=mean_approx,
         var_approx=var_approx,
-        dropped_term_ratio=_dropped_term_ratio(params, x),
+        dropped_term_ratio=_dropped_term_ratio(exact),
         inequality_holds=holds,
         raw_total=approx.raw_total,
     )

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from gpgamma.approximation import _GL_NODES, _GL_WEIGHTS, GammaApprox
 from gpgamma.errors import NumericError
 from gpgamma.model import ModelParams
 from gpgamma.posterior import PosteriorTable
@@ -55,6 +56,27 @@ def mpmath_window_mass(shape: float, scale: float, k: int) -> float:
         lo = mpmath.mpf(max(k - 0.5, 0.0)) / s
         hi = mpmath.mpf(k + 0.5) / s
         return float(mpmath.gammainc(mpmath.mpf(shape), lo, hi, regularized=True))
+
+
+def rowmajor_window_masses(g: GammaApprox, k_min: int, k_max: int) -> np.ndarray:
+    """Gauss-Legendre masses of the windows k = max(k_min, 2) .. k_max.
+
+    The row-major block loop ``discretize_gamma`` replaced with its
+    node-major kernel: each block is a (windows, 10) array, reduced by a
+    numpy row sum.  A row holds one window, so its value does not depend on
+    the block it falls in.
+    """
+    first = max(k_min, 2)
+    probs = np.empty(max(k_max - first + 1, 0))
+    log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
+    offsets = 0.5 * _GL_NODES
+    weights = 0.5 * _GL_WEIGHTS
+    for start in range(first, k_max + 1, 4096):
+        stop = min(start + 4096, k_max + 1)
+        t = np.arange(start, stop, dtype=float)[:, None] + offsets
+        log_f = (g.shape - 1.0) * np.log(t) - t / g.scale - log_norm
+        probs[start - first : stop - first] = (np.exp(log_f) * weights).sum(axis=1)
+    return probs
 
 
 def direct_gp_pmf(params: ModelParams, k: int, x: int) -> float:
@@ -99,6 +121,20 @@ def lerch_partial_sum(z: float, h: int, a: float, n_terms: int = 1_000_000) -> f
             ks = np.arange(start, min(start + chunk, n_terms), dtype=float)
             total += float(np.sum(z**ks * (a + ks) ** h))
     return total
+
+
+def mpmath_dropped_term_ratio(params: ModelParams, x: int) -> float:
+    """Second-to-first term ratio of the Lerch form of the normalizer.
+
+    (w-1) x Phi(z, -(x-1), w x) / Phi(z, -x, w x) at z = exp(-rate), from
+    mpmath's Lerch transcendent at 30 digits: the full series, untruncated.
+    """
+    with mpmath.workdps(30):
+        z = mpmath.exp(-mpmath.mpf(params.rate))
+        a = mpmath.mpf(params.w) * x
+        first = mpmath.lerchphi(z, -x, a)
+        second = (mpmath.mpf(params.w) - 1) * x * mpmath.lerchphi(z, -(x - 1), a)
+        return float(second / first)
 
 
 def direct_denominator_sum(params: ModelParams, x: int) -> float:

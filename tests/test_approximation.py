@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpgamma.approximation as approximation_mod
+
 from gpgamma.approximation import (
     _GL_BLOCK,
     _GL_NODES,
@@ -22,7 +24,7 @@ from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments
 from gpgamma.special import log_gamma
 
-from oracles import mpmath_window_mass
+from oracles import mpmath_window_mass, rowmajor_window_masses
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)  # rate 0.71
@@ -233,6 +235,25 @@ class TestWindowMassAccuracy:
         left = discretize_gamma(g, k_min, split - 1, renormalize=False)
         right = discretize_gamma(g, split, k_max, renormalize=False)
         np.testing.assert_array_equal(whole.probs, np.concatenate([left.probs, right.probs]))
+
+    @pytest.mark.parametrize("block", [_GL_BLOCK, 1, 7, 64])
+    @given(
+        k_min=st.integers(min_value=0, max_value=3000),
+        length=st.integers(min_value=1, max_value=2 * _GL_BLOCK + 50),
+        shape=st.floats(min_value=0.05, max_value=3000.0),
+        scale=st.floats(min_value=0.5, max_value=500.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_node_major_kernel_equals_the_row_major_loop(
+        self, block, k_min, length, shape, scale
+    ):
+        g = GammaApprox(shape=shape, scale=scale, kind="test")
+        k_max = k_min + min(length, 3 * block + 50) - 1  # crosses block edges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(approximation_mod, "_GL_BLOCK", block)
+            disc = discretize_gamma(g, k_min, k_max, renormalize=False)
+        head = max(k_min, 2) - k_min
+        np.testing.assert_array_equal(disc.probs[head:], rowmajor_window_masses(g, k_min, k_max))
 
     def test_nodes_and_weights_are_the_10_point_rule(self):
         from numpy.polynomial.legendre import leggauss

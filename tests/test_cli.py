@@ -109,6 +109,12 @@ class TestCompareCommand:
         runs = [run_cli("compare", *FIG_A, "-x", "5").stdout for _ in range(2)]
         assert runs[0] == runs[1]
 
+    def test_large_x_is_answered(self):
+        # rate 0.105: the Lerch series of the ratio used to overflow here
+        cp = run_cli("compare", *FIG_A, "-x", "1000")
+        assert cp.returncode == 0, cp.stderr
+        assert data_lines(cp.stdout)[1].startswith("theorem1,")
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self):
@@ -177,3 +183,26 @@ class TestSweepCommand:
     def test_missing_file_exits_two(self, tmp_path: Path):
         cp = run_cli("sweep", str(tmp_path / "missing.csv"))
         assert cp.returncode == 2
+
+
+class TestProcess:
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # ~0.5 MB of rows, far more than a pipe buffers
+        cmd = [sys.executable, "-m", "gpgamma", "posterior", *FIG_A, "-x", "1000"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"# schema_version=1\n"
+            proc.stdout.close()
+            status = proc.wait(timeout=120)
+            stderr = proc.stderr.read()
+        assert stderr == b""
+        assert status == 141
+
+    def test_importing_the_cli_loads_no_heavy_module(self):
+        code = (
+            "import sys, gpgamma.cli; "
+            "print(sorted(m for m in ('scipy', 'mpmath', 'numpy.polynomial') "
+            "if m in sys.modules))"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == "[]\n"

@@ -3,9 +3,13 @@
 Every subcommand runs in-process through ``cli.main`` in both formats, and
 its stdout is compared with a fixture under ``tests/fixtures/cli/``.  A
 moved snapshot means the printed output changed: fix the code.  Only a
-deliberate change of the output format, or an accuracy fix whose moved
-fields are checked against an independent oracle (as the window masses are
-below), rewrites the fixtures, with
+deliberate change of the output format, an accuracy fix whose moved fields
+are checked against an independent oracle (as the window masses are
+below), or a diagnostic moved within its stated accuracy and checked the
+same way (``dropped_term_ratio``, now taken under the truncated table:
+within the tail bound of mpmath's Lerch series, which also turned sweep
+index 2 from two Lerch-overflow error rows into two reports), rewrites the
+fixtures, with
 
     PYTHONPATH=src python3 tests/test_cli_snapshots.py
 """
@@ -20,7 +24,7 @@ import pytest
 import gpgamma.cli as cli
 from gpgamma import KINDS, build_gamma, derive_params, exact_posterior
 
-from oracles import mpmath_window_mass
+from oracles import mpmath_dropped_term_ratio, mpmath_window_mass
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 REF = ["-a", "1.5", "-b", "0.5", "-c", "-0.05"]  # the b=0.5 reference set
@@ -95,6 +99,30 @@ def test_window_masses_match_the_oracle(x):
         assert [row[column] for row in overlay] == [
             format(m / total, ".12g") for m in masses
         ]
+
+
+def test_dropped_term_ratios_match_the_oracle():
+    # The sweep fixture's points (x = 0, 3 and 100; compare_x3 repeats
+    # x = 3): each ratio field lies within its table's tail bound, plus the
+    # 12-digit rounding, of mpmath's full Lerch series.
+    lines = (FIXTURES / "sweep.csv").read_text().splitlines()
+    columns = lines[2].split(",")
+    checked = 0
+    for fields in _csv_rows("sweep.csv", lines[2]):
+        row = dict(zip(columns, fields))
+        if row["error"]:
+            continue
+        params = derive_params(float(row["a"]), float(row["b"]), float(row["c"]))
+        x = int(row["x"])
+        got = float(row["dropped_term_ratio"])
+        if x == 0:
+            assert got == 0.0
+        else:
+            bound = exact_posterior(params, x).tail_bound + 1e-12
+            want = mpmath_dropped_term_ratio(params, x)
+            assert got == pytest.approx(want, rel=bound, abs=0.0), row
+        checked += 1
+    assert checked == 6
 
 
 def _write_fixtures() -> None:

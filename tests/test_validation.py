@@ -1,10 +1,16 @@
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gpgamma.approximation import (
+    KINDS,
     DiscretePmf,
+    build_gamma,
     discretize_gamma,
     moment_matched_gamma,
     theorem1_gamma,
@@ -13,6 +19,7 @@ from gpgamma.errors import DomainError, UnsupportedOrderError
 from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
 from gpgamma.validation import (
+    _dropped_term_ratio,
     compare,
     full_support_tv,
     golden_key,
@@ -22,6 +29,8 @@ from gpgamma.validation import (
     verify_bernoulli_expansion,
     verify_lerch_denominator,
 )
+
+from oracles import mpmath_dropped_term_ratio
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)
@@ -105,6 +114,88 @@ class TestCompare:
         )
         with pytest.raises(ValueError, match="renormalized"):
             compare(table, raw)
+
+
+def _reports(table):
+    """compare on both gamma kinds over the table's window."""
+    reports = []
+    for kind in KINDS:
+        g = build_gamma(kind, table)
+        reports.append(compare(table, discretize_gamma(g, table.k_min, table.k_max, True)))
+    return reports
+
+
+def _assert_finite(rep):
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        if isinstance(value, float):
+            assert math.isfinite(value), (field.name, value)
+
+
+def _edge_point(b, gap):
+    """Params at b whose sqrt(m) lies ``gap`` (relative) below its upper limit.
+
+    The limit is min(2, 1/(1-b)): m < 4, and w > 0 needs sqrt(m) < 1/(1-b).
+    As gap -> 0 the point reaches m -> 4 (b < 1/2) or w -> 0 (b > 1/2).
+    """
+    sqrt_m = (1.0 - gap) * min(2.0, 1.0 / (1.0 - b))
+    params = derive_params(0.0, b, 2.0 * math.log(sqrt_m))
+    assume(params.m < 4.0 and params.w > 0.0)
+    return params
+
+
+class TestCompareNeverRefuses:
+    # the five regime-grid points (a = 1.5, sqrt(m) at its band centre)
+    # where the Lerch series of the ratio overflowed and compare refused
+    @pytest.mark.parametrize(
+        "rate,sqrt_m,x",
+        [(0.01, 0.998, 100), (0.01, 0.998, 1000), (0.105, 1.0513, 100),
+         (0.105, 1.0513, 1000), (0.71, 1.419, 1000)],
+    )
+    def test_large_x_grid_points(self, rate, sqrt_m, x):
+        b = rate / sqrt_m
+        table = exact_posterior(derive_params(1.5, b, 2.0 * math.log(sqrt_m) - 1.5 * b), x)
+        for rep in _reports(table):
+            _assert_finite(rep)
+            assert rep.dropped_term_ratio != 0.0
+
+    @given(
+        b=st.one_of(st.floats(0.01, 0.999), st.floats(0.999, 1.0, exclude_max=True)),
+        gap=st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 0.97)),
+        x=st.integers(0, 2000),
+        log10_eps=st.floats(-13.0, -6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_domain_edges(self, b, gap, x, log10_eps):
+        params = _edge_point(b, gap)
+        assume(params.rate >= 0.005)
+        x = min(x, int(params.rate * 20_000 / 2))  # the table stays near 2e4 terms
+        for rep in _reports(exact_posterior(params, x, 10.0**log10_eps)):
+            _assert_finite(rep)
+
+
+class TestDroppedTermRatio:
+    def test_vanishes_at_x_zero_and_at_m_one(self):
+        assert _dropped_term_ratio(exact_posterior(derive_params(*SMALL_RATE), 0)) == 0.0
+        poisson = derive_params(0.0, 0.3, 0.0)
+        assert poisson.w == 1.0
+        assert _dropped_term_ratio(exact_posterior(poisson, 7)) == 0.0
+
+    @given(
+        b=st.floats(0.02, 0.99),
+        gap=st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 0.97)),
+        x=st.integers(1, 100),
+        log10_eps=st.floats(-12.0, -6.0),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_lerch_series(self, b, gap, x, log10_eps):
+        # the table omits a relative tail below eps_tail, so the ratio taken
+        # under it may differ from the full series by about that much
+        params = _edge_point(b, gap)
+        assume(params.rate >= 0.02)
+        eps = 10.0**log10_eps
+        got = _dropped_term_ratio(exact_posterior(params, x, eps))
+        assert got == pytest.approx(mpmath_dropped_term_ratio(params, x), rel=eps, abs=0.0)
 
 
 class TestVerifyLerchDenominator:
