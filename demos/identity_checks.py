@@ -3,7 +3,7 @@
 Three checks:
   1. the power-sum identity (B_{n+1}(X) - b_{n+1})/(n+1) = sum_{r<X} r^n,
   2. the Lerch-transcendent form of the posterior normalizer against the
-     directly summed series,
+     same series as the posterior engine sums it (its log_normalizer),
   3. the Bernoulli expansion of the Lerch transcendent, whose truncation
      error shrinks as more correction terms are kept.
 """
@@ -23,7 +23,7 @@ for n, upper in [(1, 3), (3, 4), (7, 12), (20, 30)]:
     via_b = (bernoulli_polynomial(n + 1, float(upper)) - table[n + 1]) / (n + 1)
     print(f"{n:>4} {upper:>4} {direct:>16.6g} {via_b:>16.6g}")
 
-print("\n2) Lerch-form normalizer vs direct summation (relative error)")
+print("\n2) Lerch-form normalizer vs the posterior engine's sum (relative error)")
 print(f"{'x':>4} {'b=0.1 set':>14} {'b=0.5 set':>14}")
 small = derive_params(1.5, 0.1, -0.05)
 large = derive_params(1.5, 0.5, -0.05)

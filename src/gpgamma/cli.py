@@ -330,11 +330,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-b", type=float, required=True, help="rate constant b in (0,1)")
         sp.add_argument("-c", type=float, required=True, help="model constant c")
         sp.add_argument("-x", type=int, required=True, help="observed count")
+        add_eps_tail_arg(sp)
+
+    def add_eps_tail_arg(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--eps-tail",
             type=float,
             default=1e-10,
             help="relative truncation tail for the exact posterior (default 1e-10)",
+        )
+
+    def add_epsilon_ineq_arg(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument(
+            "--epsilon-ineq",
+            type=float,
+            default=0.01,
+            help="epsilon for the validity inequality (default 0.01)",
         )
 
     def add_format_arg(sp: argparse.ArgumentParser) -> None:
@@ -363,12 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="metrics and overlay for both gamma kinds")
     add_model_args(sp)
-    sp.add_argument(
-        "--epsilon-ineq",
-        type=float,
-        default=0.01,
-        help="epsilon for the validity inequality (default 0.01)",
-    )
+    add_epsilon_ineq_arg(sp)
     add_format_arg(sp)
     sp.set_defaults(func=cmd_compare)
 
@@ -383,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="comparison reports over a grid file")
     sp.add_argument("grid_file", help="CSV file with lines a,b,c,x (# comments allowed)")
-    sp.add_argument("--eps-tail", type=float, default=1e-10)
-    sp.add_argument("--epsilon-ineq", type=float, default=0.01)
+    add_eps_tail_arg(sp)
+    add_epsilon_ineq_arg(sp)
     add_format_arg(sp)
     sp.set_defaults(func=cmd_sweep)
 

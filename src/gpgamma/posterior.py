@@ -39,6 +39,7 @@ _MAX_TERMS = 10**7
 # Terms per numpy block: each float temporary stays ~128 kB.
 _BLOCK = 16384
 _MOMENT_TAIL_CAP = 1e-6
+_LERCH_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ def window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:
     return mu, float((probs * (ks - mu) ** 2).sum())
 
 
-def denominator_lerch(params: ModelParams, x: int, eps: float = 1e-12) -> float:
+def denominator_lerch(params: ModelParams, x: int) -> float:
     """Posterior normalizer for x >= 1 in its Lerch-transcendent form.
 
     Evaluates
@@ -211,8 +212,9 @@ def denominator_lerch(params: ModelParams, x: int, eps: float = 1e-12) -> float:
         e^(-rate*x) * [Phi(z, -x, w*x) - (w-1)*x * Phi(z, -(x-1), w*x)]
 
     with z = e^(-rate), which equals the direct series
-    sum_{j>=x} j (j+g)^(x-1) e^(-rate*j) up to the summation tolerance
-    ``eps`` of each Lerch evaluation.
+    sum_{j>=x} j (j+g)^(x-1) e^(-rate*j) up to the relative summation
+    tolerance 1e-12 of each Lerch evaluation.  At large x (from x = 95 at
+    rate 0.105) a Lerch term overflows and ``NumericError`` is raised.
     """
     if x < 1:
         raise DomainError(f"the Lerch form needs x >= 1, got x={x}")
@@ -222,6 +224,6 @@ def denominator_lerch(params: ModelParams, x: int, eps: float = 1e-12) -> float:
         )
     z = math.exp(-params.rate)
     a = params.w * x
-    first = lerch_phi(z, -x, a, eps)
-    second = (params.w - 1.0) * x * lerch_phi(z, -(x - 1), a, eps)
+    first = lerch_phi(z, -x, a, _LERCH_EPS)
+    second = (params.w - 1.0) * x * lerch_phi(z, -(x - 1), a, _LERCH_EPS)
     return math.exp(-params.rate * x) * (first - second)

@@ -3,21 +3,21 @@
 Log-gamma, the regularized lower and upper incomplete gamma functions,
 Bernoulli numbers and polynomials, integer power sums, and the Lerch
 transcendent for non-positive integer order.  All functions are pure and
-stateless and may be called concurrently from any number of threads.
+may be called concurrently from any number of threads; the one shared
+state, the exact Bernoulli table, is immutable once built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NumericError, UnsupportedOrderError
 
 __all__ = [
     "MAX_BERNOULLI_ORDER",
-    "BernoulliTable",
     "bernoulli_numbers",
     "bernoulli_polynomial",
     "lerch_phi",
@@ -138,32 +138,24 @@ def _reg_inc_gamma(u: float, v: float, upper: bool) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers b_0 .. b_max_order under the b_1 = -1/2 convention."""
-
-    max_order: int
-    values: tuple[float, ...]
-
-    def __getitem__(self, n: int) -> float:
-        return self.values[n]
-
-
-def _bernoulli_fractions(max_order: int) -> list[Fraction]:
+@functools.cache
+def _bernoulli_fractions() -> tuple[Fraction, ...]:
     # Defining recurrence b_n = -(1/(n+1)) sum_{j<n} C(n+1, j) b_j, run in
     # exact rational arithmetic: the alternating sum cancels catastrophically
     # in floating point (the odd-order zeros come out ~1e19 near order 60).
+    # Built once, on first use, up to the cap; each b_n depends on lower
+    # orders only, so every shorter table is a prefix of this one.
     out = [Fraction(1)]
-    for n in range(1, max_order + 1):
+    for n in range(1, MAX_BERNOULLI_ORDER + 1):
         acc = Fraction(0)
         for j in range(n):
             acc += math.comb(n + 1, j) * out[j]
         out.append(-acc / (n + 1))
-    return out
+    return tuple(out)
 
 
-def bernoulli_numbers(max_order: int) -> BernoulliTable:
-    """Table of Bernoulli numbers b_0 .. b_max_order as floats.
+def bernoulli_numbers(max_order: int) -> tuple[float, ...]:
+    """Bernoulli numbers b_0 .. b_max_order as a tuple of floats.
 
     Uses the convention b_1 = -1/2, under which B_n(0) = b_n and the
     power-sum identity holds as written.  Orders above
@@ -171,24 +163,17 @@ def bernoulli_numbers(max_order: int) -> BernoulliTable:
     (|b_60| ~ 2e34) leave no headroom for downstream float arithmetic.
     """
     if max_order < 0:
-        raise DomainError(f"max_order must be >= 0, got {max_order}")
+        raise DomainError(f"Bernoulli order must be >= 0, got {max_order}")
     if max_order > MAX_BERNOULLI_ORDER:
         raise UnsupportedOrderError(
             f"Bernoulli order {max_order} exceeds the supported cap "
             f"{MAX_BERNOULLI_ORDER}"
         )
-    fracs = _bernoulli_fractions(max_order)
-    return BernoulliTable(max_order=max_order, values=tuple(float(f) for f in fracs))
+    return tuple(map(float, _bernoulli_fractions()[: max_order + 1]))
 
 
 def bernoulli_polynomial(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x) = sum_j C(n, j) b_{n-j} x^j."""
-    if n < 0:
-        raise DomainError(f"polynomial order must be >= 0, got {n}")
-    if n > MAX_BERNOULLI_ORDER:
-        raise UnsupportedOrderError(
-            f"Bernoulli order {n} exceeds the supported cap {MAX_BERNOULLI_ORDER}"
-        )
+    """Bernoulli polynomial B_n(x) = sum_j C(n, j) b_{n-j} x^j, for 0 <= n <= 60."""
     b = bernoulli_numbers(n)
     return math.fsum(math.comb(n, j) * b[n - j] * x**j for j in range(n + 1))
 

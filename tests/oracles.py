@@ -137,6 +137,21 @@ def mpmath_dropped_term_ratio(params: ModelParams, x: int) -> float:
         return float(second / first)
 
 
+def mpmath_denominator(params: ModelParams, x: int) -> float:
+    """Posterior normalizer for x >= 1 in Lerch form, from mpmath at 30 digits.
+
+    e^(-rate x) [Phi(z, -x, w x) - (w-1) x Phi(z, -(x-1), w x)] at
+    z = exp(-rate): the full series, untruncated.
+    """
+    with mpmath.workdps(30):
+        rate = mpmath.mpf(params.rate)
+        w = mpmath.mpf(params.w)
+        z = mpmath.exp(-rate)
+        first = mpmath.lerchphi(z, -x, w * x)
+        second = (w - 1) * x * mpmath.lerchphi(z, -(x - 1), w * x)
+        return float(mpmath.exp(-rate * x) * (first - second))
+
+
 def direct_denominator_sum(params: ModelParams, x: int) -> float:
     """Posterior normalizer for x >= 1 by straightforward summation."""
     g = (params.lambda2 / params.rate) * x

@@ -52,3 +52,27 @@ def test_bad_eps_tail_exits_one(eps, capsys):
     )
     assert status == 1
     assert "eps_tail" in capsys.readouterr().err
+
+
+TOLERANCE_HELP = {
+    "--eps-tail": "--eps-tail EPS_TAIL relative truncation tail for the exact posterior "
+    "(default 1e-10)",
+    "--epsilon-ineq": "--epsilon-ineq EPSILON_INEQ epsilon for the validity inequality "
+    "(default 0.01)",
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("posterior", "--eps-tail"),
+        ("compare", "--epsilon-ineq"),
+        ("sweep", "--eps-tail"),
+        ("sweep", "--epsilon-ineq"),
+    ],
+)
+def test_help_states_each_tolerance_flag_and_its_default(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert TOLERANCE_HELP[flag] in " ".join(capsys.readouterr().out.split())

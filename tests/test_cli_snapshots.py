@@ -5,11 +5,14 @@ its stdout is compared with a fixture under ``tests/fixtures/cli/``.  A
 moved snapshot means the printed output changed: fix the code.  Only a
 deliberate change of the output format, an accuracy fix whose moved fields
 are checked against an independent oracle (as the window masses are
-below), or a diagnostic moved within its stated accuracy and checked the
+below), a diagnostic moved within its stated accuracy and checked the
 same way (``dropped_term_ratio``, now taken under the truncated table:
 within the tail bound of mpmath's Lerch series, which also turned sweep
-index 2 from two Lerch-overflow error rows into two reports), rewrites the
-fixtures, with
+index 2 from two Lerch-overflow error rows into two reports), or a check
+measured against a new reference and checked the same way (the
+``lerch_denominator`` rows of ``verify all``, whose reference is now the
+posterior engine's normalizer: within 1e-14 of the Lerch form's error
+against mpmath), rewrites the fixtures, with
 
     PYTHONPATH=src python3 tests/test_cli_snapshots.py
 """
@@ -22,9 +25,9 @@ from pathlib import Path
 import pytest
 
 import gpgamma.cli as cli
-from gpgamma import KINDS, build_gamma, derive_params, exact_posterior
+from gpgamma import KINDS, build_gamma, denominator_lerch, derive_params, exact_posterior
 
-from oracles import mpmath_dropped_term_ratio, mpmath_window_mass
+from oracles import mpmath_denominator, mpmath_dropped_term_ratio, mpmath_window_mass
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 REF = ["-a", "1.5", "-b", "0.5", "-c", "-0.05"]  # the b=0.5 reference set
@@ -123,6 +126,29 @@ def test_dropped_term_ratios_match_the_oracle():
             assert got == pytest.approx(want, rel=bound, abs=0.0), row
         checked += 1
     assert checked == 6
+
+
+def test_lerch_denominator_errors_match_the_oracle():
+    # Each lerch_denominator row of verify_all.csv (the CSV and JSON fields
+    # are the same 12-digit numbers) is the Lerch form's relative error
+    # against the engine's normalizer; it must equal that error against
+    # mpmath's full Lerch series within 1e-14 absolute.
+    checked = 0
+    for check, detail, relative_error, _ in _csv_rows(
+        "verify_all.csv", "check,params,relative_error,pass"
+    ):
+        if check != "lerch_denominator":
+            continue
+        p = dict(item.split("=") for item in detail.split())
+        params = derive_params(float(p["a"]), float(p["b"]), float(p["c"]))
+        x = int(p["x"])
+        want = mpmath_denominator(params, x)
+        got = denominator_lerch(params, x)
+        assert float(relative_error) == pytest.approx(
+            abs(got - want) / want, rel=0.0, abs=1e-14
+        ), detail
+        checked += 1
+    assert checked == 30
 
 
 def _write_fixtures() -> None:

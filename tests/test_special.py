@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -127,7 +129,7 @@ class TestRegUpperIncGamma:
 class TestBernoulliNumbers:
     def test_base(self):
         table = bernoulli_numbers(1)
-        assert table.values == (1.0, -0.5)
+        assert table == (1.0, -0.5)
 
     def test_low_orders(self):
         # recurrence by hand: b_2 = 1/6, b_3 = 0, b_4 = -1/30
@@ -138,7 +140,7 @@ class TestBernoulliNumbers:
 
     def test_table_invariants(self):
         table = bernoulli_numbers(MAX_BERNOULLI_ORDER)
-        assert len(table.values) == MAX_BERNOULLI_ORDER + 1
+        assert len(table) == MAX_BERNOULLI_ORDER + 1
         assert table[0] == 1.0
         assert table[1] == -0.5
         for n in range(3, MAX_BERNOULLI_ORDER + 1, 2):
@@ -154,6 +156,21 @@ class TestBernoulliNumbers:
             bernoulli_numbers(61)
         with pytest.raises(DomainError):
             bernoulli_numbers(-1)
+
+    def test_exact_table_is_built_once_on_first_use(self):
+        # nothing at import (CLI start-up), then one build for a whole
+        # `verify all`, which reads the table 165 times
+        code = (
+            "import contextlib, io, gpgamma.cli as cli\n"
+            "from gpgamma.special import _bernoulli_fractions as build\n"
+            "print(build.cache_info().misses)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'all']) == 0\n"
+            "print(build.cache_info().misses)\n"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.split() == ["0", "1"]
 
 
 class TestBernoulliPolynomial:
@@ -173,6 +190,8 @@ class TestBernoulliPolynomial:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             bernoulli_polynomial(61, 0.5)
+        with pytest.raises(DomainError, match="Bernoulli order"):
+            bernoulli_polynomial(-1, 0.5)
 
 
 class TestPowerSum:

@@ -15,7 +15,7 @@ from gpgamma.approximation import (
     moment_matched_gamma,
     theorem1_gamma,
 )
-from gpgamma.errors import DomainError, UnsupportedOrderError
+from gpgamma.errors import DomainError, NumericError, UnsupportedOrderError
 from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
 from gpgamma.validation import (
@@ -213,6 +213,13 @@ class TestVerifyLerchDenominator:
         params = derive_params(*SMALL_RATE)
         with pytest.raises(DomainError):
             verify_lerch_denominator(params, 0)
+
+    @pytest.mark.parametrize("abc,x", [(SMALL_RATE, 95), (LARGE_RATE, 124)])
+    def test_lerch_overflow_is_a_typed_refusal(self, abc, x):
+        # the first x at which the Lerch terms overflow, at rates 0.105 and 0.71
+        params = derive_params(*abc)
+        with pytest.raises(NumericError, match="lerch_phi term overflowed"):
+            verify_lerch_denominator(params, x)
 
 
 class TestVerifyBernoulliExpansion:
