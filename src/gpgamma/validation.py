@@ -104,7 +104,8 @@ def _dropped_term_ratio(table: PosteriorTable) -> float:
     # Ratio of the two Lerch terms in the normalizer, taken under the table:
     # splitting (j+g)^x = j (j+g)^(x-1) + g (j+g)^(x-1) with g = (w-1) x gives
     # g E[1/k] / (1 + g E[1/k]).  It vanishes identically at x = 0 and m = 1,
-    # and 1 + g E[1/k] > 0 because k >= x and g > -x when w > 0.
+    # and 1 + g E[1/k] > 0 because k >= x and g > -x when w > 0.  The
+    # table's left cut bounds the 1/k-weighted mass it drops, too.
     g = (table.params.w - 1.0) * table.x
     if g == 0.0:
         return 0.0
@@ -117,9 +118,9 @@ def compare(
 ) -> ComparisonReport:
     """Compare an exact posterior with a window-renormalized approximation.
 
-    Both pmfs must live on the same window k = x .. k_max and the
-    approximation must already be renormalized over it; anything else is a
-    usage error.
+    Both pmfs must live on the table's window k = k_min .. k_max (k_min >=
+    x) and the approximation must already be renormalized over it; anything
+    else is a usage error.
     """
     if not approx.renormalized:
         raise ValueError("compare needs the approximation renormalized over the window")

@@ -12,12 +12,26 @@ import warnings
 
 import mpmath
 import numpy as np
+from hypothesis import assume
 from scipy.integrate import IntegrationWarning, quad
 
 from gpgamma.approximation import _GL_NODES, _GL_WEIGHTS, GammaApprox
 from gpgamma.errors import NumericError
-from gpgamma.model import ModelParams
+from gpgamma.model import ModelParams, derive_params
 from gpgamma.posterior import PosteriorTable
+
+
+def edge_point(b: float, gap: float) -> ModelParams:
+    """Params at b whose sqrt(m) lies ``gap`` (relative) below its upper limit.
+
+    The limit is min(2, 1/(1-b)): m < 4, and w > 0 needs sqrt(m) < 1/(1-b).
+    As gap -> 0 the point reaches m -> 4 (b < 1/2) or w -> 0 (b > 1/2).  For
+    hypothesis strategies: rejects the draw where rounding leaves the domain.
+    """
+    sqrt_m = (1.0 - gap) * min(2.0, 1.0 / (1.0 - b))
+    params = derive_params(0.0, b, 2.0 * math.log(sqrt_m))
+    assume(params.m < 4.0 and params.w > 0.0)
+    return params
 
 
 def quad_reg_lower_inc_gamma(u: float, v: float) -> float:
@@ -107,6 +121,20 @@ def brute_posterior(
     return ks, weights / weights.sum()
 
 
+def mpmath_posterior(params: ModelParams, x: int, k_min: int, k_max: int) -> np.ndarray:
+    """Posterior pmf normalized over k = k_min .. k_max, in mpmath at 30 digits.
+
+    Each weight k (k+g)^(x-1) e^(-rate k) is a direct product, so large x
+    neither overflows nor goes through the engine's log space.
+    """
+    with mpmath.workdps(30):
+        rate = mpmath.mpf(params.rate)
+        g = (mpmath.mpf(params.w) - 1) * x
+        weights = [k * (k + g) ** (x - 1) * mpmath.exp(-rate * k) for k in range(k_min, k_max + 1)]
+        total = mpmath.fsum(weights)
+        return np.array([float(w / total) for w in weights])
+
+
 def brute_moments(ks: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
     mu = float(np.dot(ks, probs))
     return mu, float(np.dot(probs, (ks - mu) ** 2))
@@ -167,67 +195,110 @@ def direct_denominator_sum(params: ModelParams, x: int) -> float:
 
 
 def streaming_posterior(params: ModelParams, x: int, eps_tail: float) -> PosteriorTable:
-    """Posterior table by the per-term streaming log-sum-exp loop.
+    """Posterior table by a per-term loop under the two-sided truncation rule.
 
-    The scalar route ``exact_posterior`` replaced with numpy blocks: one
-    Python iteration per term, the same truncation rule (past j0, stop at
-    the first k whose step is at most -rate/2 and whose geometric tail
-    bound, relative to the running partial sum, is below ``eps_tail``) and
-    a streaming normalizer.  Assumes the inputs are inside the domain.
+    One Python iteration per term and a streaming log-sum-exp, with the
+    rule ``exact_posterior`` applies to its numpy blocks.  The table starts
+    at the mode, found here by bisection on the slope of the log-weights
+    1/k + (x-1)/(k+g) - rate and rounded, clipped to k >= x.  Each side has
+    a share of eps_tail: half, or w eps_tail when x > 0 and w < 1/2.  The
+    left side stops at the first k below the mode where the geometric bound
+    u_k s/(1-s) on the terms u_j = t_j/j past it, s = u_k/u_(k+1), lies
+    under its share relative to the sum of u over k .. mode (or at k = x,
+    dropping nothing), and bounds the mass it drops by (k-1) times that;
+    the right side then stops at the first k where t_k r/(1-r),
+    r = t_k/t_(k-1), lies under its share relative to the sum of the table
+    so far.  Assumes the inputs are inside the domain.
     """
     rate = params.rate
-    if x == 0:
-        j0 = 0
+    g = (params.w - 1.0) * x
+    log_share = math.log(eps_tail * (min(0.5, params.w) if x > 0 else 0.5))
 
-        def lw(k: int) -> float:
+    def lw(k: int) -> float:
+        if x == 0:
             return -rate * k
-    else:
-        g = (params.w - 1.0) * x
-        j0 = max(x, math.ceil(2 * (x - 1) / rate), math.ceil(2 * abs(g)))
+        return math.log(k) + (x - 1) * math.log(k + g) - rate * k
 
-        def lw(k: int) -> float:
-            return math.log(k) + (x - 1) * math.log(k + g) - rate * k
+    def slope(k: float) -> float:
+        return 1.0 / k + (x - 1) / (k + g) - rate
 
-    log_ratio_cap = -0.5 * rate
-    r = math.exp(log_ratio_cap)
-    log_tail_factor = math.log(r / (1.0 - r))
-    log_eps = math.log(eps_tail)
+    mode = x
+    if x > 0 and slope(x) > 0.0:
+        lo, hi = float(x), x + (2.0 * x + 2.0) / rate
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+        mode = max(x, round(lo))
 
-    log_weights: list[float] = []
-    running_max = -math.inf
-    scaled_sum = 0.0  # sum of exp(lw - running_max)
-    prev = None
-    tail_bound = math.inf
-    k = x
+    def log_bound(v: float, prev: float, log_sum: float) -> float:
+        # log of t rho / (1 - rho) relative to the sum, rho = e^(v - prev)
+        step = v - prev
+        if step >= 0.0:
+            return math.inf
+        return v + step - math.log(-math.expm1(step)) - log_sum
+
+    class Sum:
+        """Streaming log-sum-exp."""
+
+        def __init__(self):
+            self.top, self.scaled = -math.inf, 0.0
+
+        def add(self, v: float) -> float:
+            if v > self.top:
+                self.scaled = self.scaled * math.exp(self.top - v) + 1.0
+                self.top = v
+            else:
+                self.scaled += math.exp(v - self.top)
+            return self.top + math.log(self.scaled)
+
+    mass, weighted = Sum(), Sum()
+    left: list[float] = []
+    log_left = -math.inf
+    k = mode
     while True:
         v = lw(k)
-        log_weights.append(v)
-        if v > running_max:
-            scaled_sum = scaled_sum * math.exp(running_max - v) + 1.0
-            running_max = v
-        else:
-            scaled_sum += math.exp(v - running_max)
-        if k > j0 and prev is not None and v - prev <= log_ratio_cap:
-            log_bound = v + log_tail_factor
-            log_partial = running_max + math.log(scaled_sum)
-            if log_bound - log_partial < log_eps:
-                tail_bound = math.exp(log_bound - log_partial)
+        left.append(v)
+        mass.add(v)
+        if k == x:
+            break
+        u = v - math.log(k)
+        log_weighted = weighted.add(u)
+        if k < mode:
+            bound = log_bound(u, left[-2] - math.log(k + 1), log_weighted)
+            if bound < log_share:
+                # sum_(j<k) t_j <= (k-1) sum_(j<k) t_j / j
+                log_left = math.log(k - 1) + bound + log_weighted
                 break
-        prev = v
+        k -= 1
+        if mode - k >= 10**7:
+            raise NumericError(f"streaming oracle reached 10^7 terms at x={x}")
+    k_min = k
+
+    right: list[float] = []
+    prev = left[0]
+    k = mode
+    while True:
         k += 1
-        if k - x >= 10**7:
+        v = lw(k)
+        right.append(v)
+        log_mass = mass.add(v)
+        bound = log_bound(v, prev, log_mass)
+        if bound < log_share:
+            break
+        prev = v
+        if k - k_min >= 10**7:
             raise NumericError(f"streaming oracle reached 10^7 terms at x={x}")
 
-    lws = np.asarray(log_weights)
-    log_normalizer = running_max + math.log(scaled_sum)
+    lws = np.asarray(left[::-1] + right)
+    log_normalizer = log_mass
     probs = np.exp(lws - log_normalizer)
     return PosteriorTable(
         params=params,
         x=x,
-        k_min=x,
+        k_min=k_min,
         k_max=k,
         log_weights=lws,
         probs=probs,
-        tail_bound=tail_bound,
+        tail_bound=math.exp(log_left - log_normalizer) + math.exp(bound),
         log_normalizer=log_normalizer,
     )

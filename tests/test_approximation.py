@@ -13,6 +13,7 @@ from gpgamma.approximation import (
     _GL_WEIGHTS,
     KINDS,
     GammaApprox,
+    _gl_window_masses,
     build_gamma,
     discretize_gamma,
     inequality_check,
@@ -217,6 +218,28 @@ class TestWindowMassAccuracy:
             true = mpmath_window_mass(g.shape, g.scale, k)
             assert disc.probs[k] == pytest.approx(true, rel=1e-13, abs=0.0), k
 
+    @pytest.mark.parametrize(
+        "g,k_max",
+        [
+            # theorem1 at rate 0.105, x=100: windows k <= 12 rise more
+            # steeply than 8 per unit; the rule was 2.6e-4 off at k=2
+            (GammaApprox(shape=101.0, scale=1 / 0.105, kind="theorem1"), 60),
+            # a steep right flank: slope below -8 on every window
+            (GammaApprox(shape=2.0, scale=0.05, kind="test"), 80),
+            (GammaApprox(shape=400.0, scale=0.5, kind="test"), 260),
+        ],
+    )
+    def test_steep_windows(self, g, k_max):
+        disc = discretize_gamma(g, 0, k_max, renormalize=False)
+        checked = 0
+        for k in range(2, k_max + 1):
+            true = mpmath_window_mass(g.shape, g.scale, k)
+            if true < 1e-300:
+                continue
+            assert disc.probs[k] == pytest.approx(true, rel=1e-10, abs=0.0), k
+            checked += 1
+        assert checked >= 20
+
     @given(
         k_min=st.integers(min_value=0, max_value=40),
         length=st.integers(min_value=2, max_value=2 * _GL_BLOCK + 50),
@@ -247,13 +270,16 @@ class TestWindowMassAccuracy:
     def test_node_major_kernel_equals_the_row_major_loop(
         self, block, k_min, length, shape, scale
     ):
+        # every window, steep ones included (discretize_gamma sends those to
+        # incomplete-gamma differences; see test_steep_windows)
         g = GammaApprox(shape=shape, scale=scale, kind="test")
         k_max = k_min + min(length, 3 * block + 50) - 1  # crosses block edges
+        first = max(k_min, 2)
+        masses = np.empty(max(k_max - first + 1, 0))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(approximation_mod, "_GL_BLOCK", block)
-            disc = discretize_gamma(g, k_min, k_max, renormalize=False)
-        head = max(k_min, 2) - k_min
-        np.testing.assert_array_equal(disc.probs[head:], rowmajor_window_masses(g, k_min, k_max))
+            _gl_window_masses(g, first, masses)
+        np.testing.assert_array_equal(masses, rowmajor_window_masses(g, k_min, k_max))
 
     def test_nodes_and_weights_are_the_10_point_rule(self):
         from numpy.polynomial.legendre import leggauss

@@ -12,7 +12,11 @@ index 2 from two Lerch-overflow error rows into two reports), or a check
 measured against a new reference and checked the same way (the
 ``lerch_denominator`` rows of ``verify all``, whose reference is now the
 posterior engine's normalizer: within 1e-14 of the Lerch form's error
-against mpmath), rewrites the fixtures, with
+against mpmath), or a change of where the posterior table is truncated
+whose moved fields are checked the same way (the two-sided cut: the
+``tail_bound`` of ``posterior_x0``/``posterior_x3`` against the per-term
+oracle, every field of the x = 100 sweep rows against mpmath), rewrites
+the fixtures, with
 
     PYTHONPATH=src python3 tests/test_cli_snapshots.py
 """
@@ -22,12 +26,20 @@ import io
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpgamma.cli as cli
 from gpgamma import KINDS, build_gamma, denominator_lerch, derive_params, exact_posterior
 
-from oracles import mpmath_denominator, mpmath_dropped_term_ratio, mpmath_window_mass
+from oracles import (
+    brute_posterior_weights,
+    mpmath_denominator,
+    mpmath_dropped_term_ratio,
+    mpmath_posterior,
+    mpmath_window_mass,
+    streaming_posterior,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "cli"
 REF = ["-a", "1.5", "-b", "0.5", "-c", "-0.05"]  # the b=0.5 reference set
@@ -106,8 +118,10 @@ def test_window_masses_match_the_oracle(x):
 
 def test_dropped_term_ratios_match_the_oracle():
     # The sweep fixture's points (x = 0, 3 and 100; compare_x3 repeats
-    # x = 3): each ratio field lies within its table's tail bound, plus the
-    # 12-digit rounding, of mpmath's full Lerch series.
+    # x = 3): each ratio field lies within (1 - ratio) times its table's
+    # tail bound, plus the 12-digit rounding, of mpmath's full Lerch series.
+    # r = gE/(1 + gE) moves by (1 - r) dE/E when the dropped tail moves
+    # E = E[1/k] by dE/E, at most the dropped relative mass.
     lines = (FIXTURES / "sweep.csv").read_text().splitlines()
     columns = lines[2].split(",")
     checked = 0
@@ -121,11 +135,61 @@ def test_dropped_term_ratios_match_the_oracle():
         if x == 0:
             assert got == 0.0
         else:
-            bound = exact_posterior(params, x).tail_bound + 1e-12
             want = mpmath_dropped_term_ratio(params, x)
+            bound = (1.0 - want) * exact_posterior(params, x).tail_bound + 1e-12
             assert got == pytest.approx(want, rel=bound, abs=0.0), row
         checked += 1
     assert checked == 6
+
+
+@pytest.mark.parametrize("x", [0, 3])
+def test_tail_bounds_match_the_oracle(x):
+    # The posterior fixture's tail_bound is the per-term loop's at 12
+    # digits, and bounds the mass the table drops, summed to k = 10^5.
+    params = derive_params(1.5, 0.5, -0.05)
+    footer = (FIXTURES / f"posterior_x{x}.csv").read_text().splitlines()[-1]
+    fields = dict(item.split("=") for item in footer.lstrip("# ").split())
+    oracle = streaming_posterior(params, x, 1e-10)
+    assert fields["tail_bound"] == format(oracle.tail_bound, ".12g")
+    _, weights = brute_posterior_weights(params, x)
+    dropped = weights[oracle.k_max - x + 1 :].sum() + weights[: oracle.k_min - x].sum()
+    assert dropped <= float(fields["tail_bound"]) * weights.sum()
+
+
+def test_large_x_sweep_rows_match_the_oracles():
+    # Sweep index 2 (x = 100, its table cut on both sides): every metric of
+    # both rows from the mpmath posterior on the table's window and mpmath
+    # window masses.  Fields that difference two nearly equal pmfs get a
+    # 1e-12 absolute floor: the float pmfs agree to ~1e-13 per entry.
+    lines = (FIXTURES / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[2].split(","), f)) for f in _csv_rows("sweep.csv", lines[2])]
+    rows = {row["kind"]: row for row in rows if row["index"] == "2"}
+    params = derive_params(1.5, 0.1, -0.05)
+    table = exact_posterior(params, 100)
+    ks = table.support
+    p = mpmath_posterior(params, 100, table.k_min, table.k_max)
+    mu = float((ks * p).sum())
+    var = float((p * (ks - mu) ** 2).sum())
+    gammas = {"theorem1": (101.0, 1.0 / params.rate), "moment_matched": (mu * mu / var, var / mu)}
+    for kind, (shape, scale) in gammas.items():
+        masses = np.array([mpmath_window_mass(shape, scale, int(k)) for k in ks])
+        q = masses / masses.sum()
+        mu_q = float((ks * q).sum())
+        want = {
+            "tv": 0.5 * np.abs(p - q).sum(),
+            "kl": float((p * np.log(p / q)).sum()),
+            "sup_abs": np.abs(p - q).max(),
+            "mean_exact": mu,
+            "var_exact": var,
+            "mean_approx": mu_q,
+            "var_approx": float((q * (ks - mu_q) ** 2).sum()),
+            "raw_total": masses.sum(),
+        }
+        for field, value in want.items():
+            assert float(rows[kind][field]) == pytest.approx(value, rel=1e-11, abs=1e-12), (
+                kind,
+                field,
+            )
 
 
 def test_lerch_denominator_errors_match_the_oracle():

@@ -18,7 +18,9 @@ from gpgamma.posterior import (
 from oracles import (
     brute_moments,
     brute_posterior,
+    brute_posterior_weights,
     direct_denominator_sum,
+    edge_point,
     streaming_posterior,
 )
 
@@ -53,8 +55,8 @@ class TestExactPosterior:
         params = derive_params(*abc)
         table = exact_posterior(params, x, eps_tail=1e-10)
         ks, brute = brute_posterior(params, x)
-        n = len(table.probs)
-        rel = np.abs(table.probs - brute[:n]) / brute[:n]
+        window = brute[table.k_min - x : table.k_max - x + 1]  # brute starts at k = x
+        rel = np.abs(table.probs - window) / window
         assert rel.max() < 1e-10
 
     def test_mass_and_tail_invariants(self):
@@ -77,10 +79,15 @@ class TestExactPosterior:
             assert table.log_weights[i] == pytest.approx(expected, rel=1e-15)
 
     def test_support_starts_at_x(self):
+        # k_min = x while the terms near x still matter; at x = 12 the mode
+        # sits near 124 and the left cut drops k = 12 alone
         params = derive_params(*SMALL_RATE)
-        table = exact_posterior(params, 12)
-        assert table.k_min == 12
-        assert table.support[0] == 12
+        table = exact_posterior(params, 10)
+        assert table.k_min == 10
+        assert table.support[0] == 10
+        cut = exact_posterior(params, 12)
+        assert cut.k_min == 13
+        assert cut.support[0] == 13
 
     @pytest.mark.parametrize("eps", [0.0, -1e-10, 2e-3, 1.0])
     def test_eps_tail_range(self, eps):
@@ -102,12 +109,16 @@ class TestExactPosterior:
     def test_term_cap_is_numeric_error(self, monkeypatch):
         monkeypatch.setattr(posterior_mod, "_MAX_TERMS", 10)
         params = derive_params(*SMALL_RATE)
-        with pytest.raises(NumericError, match="tail bound"):
-            exact_posterior(params, 5)
+        # x = 5: the left side (mode ~57) has not stopped; x = 0: the mode
+        # is x, so the right side hits the limit
+        for x in (5, 0):
+            with pytest.raises(NumericError, match="tail bound"):
+                exact_posterior(params, x)
 
     def test_table_size_limit_clips_the_last_block(self, monkeypatch):
-        # the table below needs ~471k terms; a 20,000-entry limit falls
-        # inside its second block, which must be cut at the limit
+        # the table below needs ~470k terms; the first block holds 16,384
+        # around the mode (~110k), and a 20,000-entry limit falls inside the
+        # second, the first block to its left, which must be cut at the limit
         monkeypatch.setattr(posterior_mod, "_MAX_TERMS", 20_000)
         evaluated = []
         arange = np.arange
@@ -130,15 +141,28 @@ class TestExactPosterior:
         assert "achieved tail bound" in message
 
     def test_many_block_table(self):
-        # rate 1e-4 at x=10: ~471k terms, 29 blocks of the default size
+        # rate 1e-4 at x=10: ~470k terms, 29 blocks of the default size,
+        # cut on both sides of the mode
         params = derive_params(0.0, 1e-4, 0.0)
         table = exact_posterior(params, 10, eps_tail=1e-10)
+        oracle = streaming_posterior(params, 10, 1e-10)
         assert len(table.probs) > 28 * posterior_mod._BLOCK
-        assert table.k_max == streaming_posterior(params, 10, 1e-10).k_max
+        assert table.k_min > 10
+        assert (table.k_min, table.k_max) == (oracle.k_min, oracle.k_max)
         assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert table.tail_bound <= 1e-10
         mu, _ = posterior_moments(table)
         assert mu == pytest.approx(11 / params.rate, rel=1e-4)
+
+    def test_cap_regime_is_answered(self):
+        # rate 1e-4 at x=1000, refused when every table started at k = x
+        # and had to run past ~2x/rate: two-sided it needs ~4.1M terms
+        params = derive_params(0.0, 1e-4, 0.0)
+        table = exact_posterior(params, 1000, eps_tail=1e-10)
+        assert len(table.probs) <= 10**7
+        assert table.k_min > 1000
+        assert table.tail_bound <= 1e-10
+        assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def _domain_point(b, m, x, max_terms):
@@ -165,7 +189,7 @@ class TestBlockedEngine:
         eps = 10.0**log10_eps
         table = exact_posterior(params, x, eps)
         oracle = streaming_posterior(params, x, eps)
-        assert table.k_max == oracle.k_max
+        assert (table.k_min, table.k_max) == (oracle.k_min, oracle.k_max)
         assert table.tail_bound == pytest.approx(oracle.tail_bound, rel=1e-12, abs=0.0)
         # atol only admits entries that underflow to subnormals on one side
         np.testing.assert_allclose(table.probs, oracle.probs, rtol=1e-10, atol=1e-300)
@@ -185,9 +209,37 @@ class TestBlockedEngine:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(posterior_mod, "_BLOCK", block)
             blocked = exact_posterior(params, x, eps)
-        assert blocked.k_max == table.k_max
+        assert (blocked.k_min, blocked.k_max) == (table.k_min, table.k_max)
         assert np.array_equal(blocked.probs, table.probs)
         assert blocked.log_normalizer == table.log_normalizer
+
+
+class TestTwoSidedCut:
+    """Each cut against the brute-force weights summed to the end."""
+
+    @given(
+        b=st.one_of(st.floats(0.01, 0.999), st.floats(0.999, 1.0, exclude_max=True)),
+        gap=st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 0.97)),
+        x=st.integers(0, 60),
+        log10_eps=st.floats(-13.0, -3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_side_drops_at_most_its_share(self, b, gap, x, log10_eps):
+        params = edge_point(b, gap)
+        assume(params.rate >= 0.005)
+        eps = 10.0**log10_eps
+        table = exact_posterior(params, x, eps)
+        # k = x .. 100,000 directly (finite for x <= 60); past it lies a
+        # relative mass below e^-300
+        ks, weights = brute_posterior_weights(params, x)
+        below = slice(0, table.k_min - x)
+        above = slice(table.k_max - x + 1, None)
+        share = eps * (min(0.5, params.w) if x > 0 else 0.5)
+        assert weights[below].sum() <= share * weights.sum()
+        assert weights[above].sum() <= share * weights.sum()
+        if x > 0:  # the 1/k-weighted sum behind dropped_term_ratio
+            inverse = weights / ks
+            assert inverse[below].sum() <= share * inverse.sum()
 
 
 class TestPosteriorMoments:

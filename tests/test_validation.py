@@ -30,7 +30,7 @@ from gpgamma.validation import (
     verify_lerch_denominator,
 )
 
-from oracles import mpmath_dropped_term_ratio
+from oracles import edge_point, mpmath_dropped_term_ratio
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)
@@ -132,18 +132,6 @@ def _assert_finite(rep):
             assert math.isfinite(value), (field.name, value)
 
 
-def _edge_point(b, gap):
-    """Params at b whose sqrt(m) lies ``gap`` (relative) below its upper limit.
-
-    The limit is min(2, 1/(1-b)): m < 4, and w > 0 needs sqrt(m) < 1/(1-b).
-    As gap -> 0 the point reaches m -> 4 (b < 1/2) or w -> 0 (b > 1/2).
-    """
-    sqrt_m = (1.0 - gap) * min(2.0, 1.0 / (1.0 - b))
-    params = derive_params(0.0, b, 2.0 * math.log(sqrt_m))
-    assume(params.m < 4.0 and params.w > 0.0)
-    return params
-
-
 class TestCompareNeverRefuses:
     # the five regime-grid points (a = 1.5, sqrt(m) at its band centre)
     # where the Lerch series of the ratio overflowed and compare refused
@@ -167,7 +155,7 @@ class TestCompareNeverRefuses:
     )
     @settings(max_examples=60, deadline=None)
     def test_domain_edges(self, b, gap, x, log10_eps):
-        params = _edge_point(b, gap)
+        params = edge_point(b, gap)
         assume(params.rate >= 0.005)
         x = min(x, int(params.rate * 20_000 / 2))  # the table stays near 2e4 terms
         for rep in _reports(exact_posterior(params, x, 10.0**log10_eps)):
@@ -191,7 +179,7 @@ class TestDroppedTermRatio:
     def test_matches_the_lerch_series(self, b, gap, x, log10_eps):
         # the table omits a relative tail below eps_tail, so the ratio taken
         # under it may differ from the full series by about that much
-        params = _edge_point(b, gap)
+        params = edge_point(b, gap)
         assume(params.rate >= 0.02)
         eps = 10.0**log10_eps
         got = _dropped_term_ratio(exact_posterior(params, x, eps))
