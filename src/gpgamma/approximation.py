@@ -9,6 +9,7 @@ a pmf on integers by integrating the density over half-integer windows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,17 +156,54 @@ def discretize_gamma(
     cancel.  A window's method depends on the window alone, not on the
     range asked for.
     With ``renormalize`` the window probabilities are rescaled to sum to one.
+    When the range's raw masses underflow (a range far out in a tail), they
+    are taken again relative to the density's peak over the range, so the
+    renormalized pmf keeps its relative accuracy; ``raw_total`` stays the
+    unscaled sum, 0 or subnormal there.
     """
     if k_min < 0:
         raise DomainError(f"k_min must be >= 0, got {k_min}")
     if k_max < k_min:
         raise DomainError(f"k_max must be >= k_min, got k_min={k_min}, k_max={k_max}")
+    probs = _window_masses(g, k_min, k_max, 0.0)
+    raw_total = float(probs.sum())
+    if renormalize:
+        total = raw_total
+        if total < len(probs) * sys.float_info.min:
+            # The largest windows are subnormal or zero: take every window
+            # again relative to the density's peak over the range.
+            mode = max((g.shape - 1.0) * g.scale, 0.0)
+            t = min(max(mode, k_min - 0.5, 0.5), k_max + 0.5)
+            peak = (g.shape - 1.0) * math.log(t) - t / g.scale - _log_norm(g)
+            probs = _window_masses(g, k_min, k_max, peak)
+            total = float(probs.sum())
+        if total <= 0.0:
+            raise DomainError(
+                f"window k={k_min}..{k_max} carries no gamma mass; cannot renormalize"
+            )
+        probs = probs / total
+    return DiscretePmf(
+        k_min=k_min,
+        probs=probs,
+        renormalized=renormalize,
+        raw_total=raw_total,
+        kind=g.kind,
+    )
+
+
+def _log_norm(g: GammaApprox) -> float:
+    # log of the density's normalizer Gamma(shape) scale^shape
+    return math.lgamma(g.shape) + g.shape * math.log(g.scale)
+
+
+def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.ndarray:
+    """Masses of the windows k = k_min .. k_max times e^(-shift)."""
     probs = np.empty(k_max - k_min + 1)
     head = range(k_min, min(k_max, 1) + 1)
     if head:
         # Consecutive windows share edges: one CDF evaluation per edge.
         edges = [max(k_min - 0.5, 0.0), *(k + 0.5 for k in head)]
-        cdf = [reg_lower_inc_gamma(g.shape, edge / g.scale) for edge in edges]
+        cdf = [reg_lower_inc_gamma(g.shape, edge / g.scale, shift=shift) for edge in edges]
         probs[: len(head)] = np.maximum(np.diff(cdf), 0.0)
     first = max(k_min, 2)
     lo, hi = first, k_max  # the run of windows the rule takes
@@ -180,34 +218,28 @@ def discretize_gamma(
         for k in (*range(first, lo), *range(hi + 1, k_max + 1)):
             a, b = (k - 0.5) / g.scale, (k + 0.5) / g.scale
             if k < mode:
-                mass = reg_lower_inc_gamma(g.shape, b) - reg_lower_inc_gamma(g.shape, a)
+                mass = reg_lower_inc_gamma(g.shape, b, shift=shift) - reg_lower_inc_gamma(
+                    g.shape, a, shift=shift
+                )
             else:
-                mass = reg_upper_inc_gamma(g.shape, a) - reg_upper_inc_gamma(g.shape, b)
+                mass = reg_upper_inc_gamma(g.shape, a, shift=shift) - reg_upper_inc_gamma(
+                    g.shape, b, shift=shift
+                )
             probs[k - k_min] = max(mass, 0.0)
-    _gl_window_masses(g, lo, probs[lo - k_min : hi - k_min + 1])
-    raw_total = float(probs.sum())
-    if renormalize:
-        if raw_total <= 0.0:
-            raise DomainError(
-                f"window k={k_min}..{k_max} carries no gamma mass; cannot renormalize"
-            )
-        probs = probs / raw_total
-    return DiscretePmf(
-        k_min=k_min,
-        probs=probs,
-        renormalized=renormalize,
-        raw_total=raw_total,
-        kind=g.kind,
-    )
+    _gl_window_masses(g, lo, probs[lo - k_min : hi - k_min + 1], shift)
+    return probs
 
 
-def _gl_window_masses(g: GammaApprox, first: int, out: np.ndarray) -> None:
+def _gl_window_masses(
+    g: GammaApprox, first: int, out: np.ndarray, shift: float = 0.0
+) -> None:
     """10-node Gauss-Legendre masses of the windows k = first, first + 1, ...
 
-    Fills ``out``, one window per entry (first >= 1).
+    Fills ``out``, one window per entry (first >= 1), with each mass times
+    e^(-shift).
 
     The rule is applied to the density
-    exp((shape-1) log t - t/scale - lgamma(shape) - shape log(scale)),
+    exp((shape-1) log t - t/scale - lgamma(shape) - shape log(scale) - shift),
     evaluated with numpy in blocks of up to ``_GL_BLOCK`` windows.  A block
     is laid out node-major, one row per node: every step is one in-place
     pass, and the rule adds whole rows in the order numpy's pairwise sum
@@ -215,7 +247,7 @@ def _gl_window_masses(g: GammaApprox, first: int, out: np.ndarray) -> None:
     of a (windows, 10) layout and does not depend on its block.
     """
     last = first + len(out) - 1
-    log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
+    log_norm = _log_norm(g) + shift
     offsets = 0.5 * _GL_NODES
     weights = 0.5 * _GL_WEIGHTS
     for start in range(first, last + 1, _GL_BLOCK):

@@ -34,6 +34,7 @@ _EPS = sys.float_info.epsilon
 _INC_GAMMA_MAX_ITER = 500
 _LERCH_MAX_TERMS = 1_000_000
 _TINY = 1e-300
+_MIN_SHIFT = -math.log(sys.float_info.max)
 
 
 def log_gamma(u: float) -> float:
@@ -47,7 +48,7 @@ def log_gamma(u: float) -> float:
     return math.lgamma(u)
 
 
-def reg_lower_inc_gamma(u: float, v: float) -> float:
+def reg_lower_inc_gamma(u: float, v: float, *, shift: float = 0.0) -> float:
     """Regularized lower incomplete gamma function P(u, v).
 
     P(u, v) = (1/Gamma(u)) * integral_0^v t^(u-1) e^(-t) dt, computed by the
@@ -57,15 +58,18 @@ def reg_lower_inc_gamma(u: float, v: float) -> float:
     split; a hard cap guards against pathological arguments.
 
     Returns a value in [0, 1], non-decreasing in ``v`` for fixed ``u``.
+    With ``shift`` it returns P(u, v) e^(-shift) instead: the shift enters
+    the exponent of the prefactor, so a far-tail value that would underflow
+    keeps its digits.
 
     Raises:
         DomainError: if ``u <= 0``, ``v < 0`` or either argument is not finite.
         NumericError: if the iteration cap is hit before convergence.
     """
-    return _reg_inc_gamma(u, v, upper=False)
+    return _reg_inc_gamma(u, v, False, shift)
 
 
-def reg_upper_inc_gamma(u: float, v: float) -> float:
+def reg_upper_inc_gamma(u: float, v: float, *, shift: float = 0.0) -> float:
     """Regularized upper incomplete gamma function Q(u, v) = 1 - P(u, v).
 
     Same two branches as ``reg_lower_inc_gamma``.  When v >= u + 1, Q comes
@@ -73,29 +77,34 @@ def reg_upper_inc_gamma(u: float, v: float) -> float:
     relative accuracy where 1 - P would cancel to 0.  On the series side
     (v < u + 1) it returns 1 - P, which loses digits only for tiny ``u``.
 
-    Returns a value in [0, 1], non-increasing in ``v`` for fixed ``u``.
+    Returns a value in [0, 1], non-increasing in ``v`` for fixed ``u``;
+    ``shift`` scales it by e^(-shift) as in ``reg_lower_inc_gamma``.
 
     Raises:
         DomainError: if ``u <= 0``, ``v < 0`` or either argument is not finite.
         NumericError: if the iteration cap is hit before convergence.
     """
-    return _reg_inc_gamma(u, v, upper=True)
+    return _reg_inc_gamma(u, v, True, shift)
 
 
-def _reg_inc_gamma(u: float, v: float, upper: bool) -> float:
-    # P(u, v), or Q(u, v) when ``upper``: the series gives P, the continued
-    # fraction gives Q, and the other one is the complement of the one found.
+def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
+    # P(u, v), or Q(u, v) when ``upper``, times e^(-shift): the series gives
+    # P, the continued fraction gives Q, and the other one is the complement
+    # of the one found, taken from e^(-shift) in place of 1.
     name = "reg_upper_inc_gamma" if upper else "reg_lower_inc_gamma"
     if not math.isfinite(u) or u <= 0.0:
         raise DomainError(f"{name} requires finite u > 0, got u={u!r}")
     if not math.isfinite(v) or v < 0.0:
         raise DomainError(f"{name} requires finite v >= 0, got v={v!r}")
+    # e^(-shift) in place of 1; inf where it overflows, a shift that is
+    # only taken for values far below 1
+    one = math.exp(-shift) if shift > _MIN_SHIFT else math.inf
     if v == 0.0:
-        return 1.0 if upper else 0.0
+        return one if upper else 0.0
 
-    # Shared prefactor v^u e^{-v} / Gamma(u); underflows harmlessly to 0
-    # far out in either tail.
-    log_front = u * math.log(v) - v - math.lgamma(u)
+    # Shared prefactor v^u e^{-v} / Gamma(u) e^(-shift); underflows
+    # harmlessly to 0 far out in either tail.
+    log_front = u * math.log(v) - v - math.lgamma(u) - shift
 
     if v < u + 1.0:
         # Lower series: P = front * sum_{n>=0} v^n / (u (u+1) ... (u+n)).
@@ -107,8 +116,8 @@ def _reg_inc_gamma(u: float, v: float, upper: bool) -> float:
             term *= v / den
             total += term
             if abs(term) < abs(total) * _EPS:
-                p = min(1.0, total * math.exp(log_front))
-                return 1.0 - p if upper else p
+                p = min(one, total * math.exp(log_front))
+                return one - p if upper else p
         raise NumericError(
             f"incomplete gamma series did not converge for u={u}, v={v}"
         )
@@ -132,7 +141,7 @@ def _reg_inc_gamma(u: float, v: float, upper: bool) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             q = math.exp(log_front) * h
-            return min(1.0, q) if upper else max(0.0, 1.0 - q)
+            return min(one, q) if upper else max(0.0, one - q)
     raise NumericError(
         f"incomplete gamma continued fraction did not converge for u={u}, v={v}"
     )

@@ -72,6 +72,23 @@ def mpmath_window_mass(shape: float, scale: float, k: int) -> float:
         return float(mpmath.gammainc(mpmath.mpf(shape), lo, hi, regularized=True))
 
 
+def mpmath_window_pmf(shape: float, scale: float, k_min: int, k_max: int) -> np.ndarray:
+    """Gamma(shape, scale) window masses over k_min .. k_max, renormalized there.
+
+    Summed and divided in mpmath at 60 digits, so a range whose masses lie
+    far below the smallest float still gets its renormalized pmf.
+    """
+    with mpmath.workdps(60):
+        u, s = mpmath.mpf(shape), mpmath.mpf(scale)
+        masses = [
+            mpmath.gammainc(u, mpmath.mpf(max(k - 0.5, 0.0)) / s, mpmath.mpf(k + 0.5) / s,
+                            regularized=True)
+            for k in range(k_min, k_max + 1)
+        ]
+        total = mpmath.fsum(masses)
+        return np.array([float(m / total) for m in masses])
+
+
 def rowmajor_window_masses(g: GammaApprox, k_min: int, k_max: int) -> np.ndarray:
     """Gauss-Legendre masses of the windows k = max(k_min, 2) .. k_max.
 

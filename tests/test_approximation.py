@@ -25,7 +25,7 @@ from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments
 from gpgamma.special import log_gamma
 
-from oracles import mpmath_window_mass, rowmajor_window_masses
+from oracles import mpmath_window_mass, mpmath_window_pmf, rowmajor_window_masses
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)  # rate 0.71
@@ -155,6 +155,25 @@ class TestDiscretizeGamma:
         disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
         tv = 0.5 * np.abs(table.probs - disc.probs).sum()
         assert tv < 0.01
+
+    @pytest.mark.parametrize(
+        "shape,scale,k_min,k_max",
+        [
+            (1369.0, 7.223985890652557, 1368, 1500),  # left flank, rule windows
+            (2000.0, 0.5, 2, 50),  # steep left flank, differences of P
+            (2.0, 0.01, 500, 600),  # steep right flank, differences of Q
+            (3000.0, 1.0, 0, 30),  # head windows k <= 1 included
+        ],
+    )
+    def test_renormalizes_a_window_whose_mass_underflows(self, shape, scale, k_min, k_max):
+        g = GammaApprox(shape, scale, "theorem1")
+        assert discretize_gamma(g, k_min, k_max, renormalize=False).raw_total == 0.0
+        disc = discretize_gamma(g, k_min, k_max, renormalize=True)
+        assert disc.raw_total == 0.0
+        expected = mpmath_window_pmf(shape, scale, k_min, k_max)
+        big = expected > 1e-300
+        assert np.all(np.abs(disc.probs[big] - expected[big]) <= 1e-11 * expected[big])
+        assert np.all(disc.probs[~big] <= 1e-290)
 
     def test_window_validation(self):
         params = derive_params(*SMALL_RATE)

@@ -120,6 +120,21 @@ class TestRegUpperIncGamma:
     def test_zero_limit(self):
         assert reg_upper_inc_gamma(3.0, 0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "u,v,shift",
+        # far tails of both branches that underflow unshifted, and the
+        # complement side of each, scaled up and down
+        [(11.0, 8000.0, -7900.0), (2000.0, 20.0, -7200.0), (4.0, 5.5, 3.0), (4.0, 2.0, -2.0)],
+    )
+    def test_shift_scales_both_functions(self, u, v, shift):
+        with mpmath.workdps(50):
+            scale = mpmath.exp(-mpmath.mpf(shift))
+            q = mpmath.gammainc(mpmath.mpf(u), mpmath.mpf(v), regularized=True)
+            p = mpmath.gammainc(mpmath.mpf(u), 0, mpmath.mpf(v), regularized=True)
+            q_true, p_true = float(q * scale), float(p * scale)
+        assert reg_upper_inc_gamma(u, v, shift=shift) == pytest.approx(q_true, rel=1e-12, abs=0.0)
+        assert reg_lower_inc_gamma(u, v, shift=shift) == pytest.approx(p_true, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("u,v", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5), (math.nan, 1.0)])
     def test_domain(self, u, v):
         with pytest.raises(DomainError, match="reg_upper_inc_gamma"):
