@@ -147,14 +147,14 @@ def discretize_gamma(
     differences two CDF values, so far upper-tail windows keep their
     relative accuracy (~1e-11 against mpmath) until their mass underflows
     below ~1e-300.
-    The other windows are differences of the regularized incomplete gamma:
-    the head windows k <= 1 of P(shape, t/scale), with the k = 0 window
-    clipped to start at 0 (for shape < 1 the density is singular at 0, too
-    close to [1/2, 3/2] for a polynomial rule); a steeper window of P left
-    of the mode and of Q right of it.  On a steep flank the far edge holds
-    a small fraction of the near edge's tail, so the difference does not
-    cancel.  A window's method depends on the window alone, not on the
-    range asked for.
+    The other windows, the steep ones and the head windows k <= 1 (for
+    shape < 1 the density is singular at 0, too close to [1/2, 3/2] for a
+    polynomial rule), are differences of the regularized incomplete gamma:
+    of P(shape, t/scale) for the k = 0 window, clipped to start at 0, and
+    left of the mode, of Q right of it.  The far edge then holds a small
+    fraction of the near edge's tail, so the difference does not cancel.
+    A window's method depends on the window alone, not on the range asked
+    for.
     With ``renormalize`` the window probabilities are rescaled to sum to one.
     When the range's raw masses underflow (a range far out in a tail), they
     are taken again relative to the density's peak over the range, so the
@@ -199,33 +199,26 @@ def _log_norm(g: GammaApprox) -> float:
 def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.ndarray:
     """Masses of the windows k = k_min .. k_max times e^(-shift)."""
     probs = np.empty(k_max - k_min + 1)
-    head = range(k_min, min(k_max, 1) + 1)
-    if head:
-        # Consecutive windows share edges: one CDF evaluation per edge.
-        edges = [max(k_min - 0.5, 0.0), *(k + 0.5 for k in head)]
-        cdf = [reg_lower_inc_gamma(g.shape, edge / g.scale, shift=shift) for edge in edges]
-        probs[: len(head)] = np.maximum(np.diff(cdf), 0.0)
-    first = max(k_min, 2)
-    lo, hi = first, k_max  # the run of windows the rule takes
+    lo, hi = min(max(k_min, 2), k_max + 1), k_max  # the run of windows the rule takes
     rise, fall = g.shape - 1.0, 1.0 / g.scale  # the log-density slope is rise/t - fall
-    ends = max(abs(rise / (first - 0.5) - fall), abs(rise / (k_max + 0.5) - fall))
-    if first <= k_max and ends > _GL_MAX_SLOPE:
+    ends = max(abs(rise / (lo - 0.5) - fall), abs(rise / (k_max + 0.5) - fall))
+    if lo <= k_max and ends > _GL_MAX_SLOPE:
         # |slope| peaks at an end of any range: the calm windows form one run
-        calm = np.abs(rise / (np.arange(first, k_max + 2) - 0.5) - fall) <= _GL_MAX_SLOPE
-        run = np.flatnonzero(calm[:-1] & calm[1:]) + first
+        calm = np.abs(rise / (np.arange(lo, k_max + 2) - 0.5) - fall) <= _GL_MAX_SLOPE
+        run = np.flatnonzero(calm[:-1] & calm[1:]) + lo
         lo, hi = (int(run[0]), int(run[-1])) if run.size else (k_max + 1, k_max)
-        mode = (g.shape - 1.0) * g.scale
-        for k in (*range(first, lo), *range(hi + 1, k_max + 1)):
-            a, b = (k - 0.5) / g.scale, (k + 0.5) / g.scale
-            if k < mode:
-                mass = reg_lower_inc_gamma(g.shape, b, shift=shift) - reg_lower_inc_gamma(
-                    g.shape, a, shift=shift
-                )
-            else:
-                mass = reg_upper_inc_gamma(g.shape, a, shift=shift) - reg_upper_inc_gamma(
-                    g.shape, b, shift=shift
-                )
-            probs[k - k_min] = max(mass, 0.0)
+    mode = (g.shape - 1.0) * g.scale
+    for k in (*range(k_min, lo), *range(hi + 1, k_max + 1)):
+        a, b = max(k - 0.5, 0.0) / g.scale, (k + 0.5) / g.scale
+        if k == 0 or k < mode:
+            mass = reg_lower_inc_gamma(g.shape, b, shift=shift) - reg_lower_inc_gamma(
+                g.shape, a, shift=shift
+            )
+        else:
+            mass = reg_upper_inc_gamma(g.shape, a, shift=shift) - reg_upper_inc_gamma(
+                g.shape, b, shift=shift
+            )
+        probs[k - k_min] = max(mass, 0.0)
     _gl_window_masses(g, lo, probs[lo - k_min : hi - k_min + 1], shift)
     return probs
 

@@ -82,9 +82,7 @@ def _round12(value: Any) -> Any:
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # normalize -0.0
-        return float(format(value, ".12g"))
+        return float(_fmt(value))
     if isinstance(value, _Table):
         return [
             {col: _round12(v) for col, v in zip(value.columns, row)}

@@ -266,10 +266,13 @@ def exact_posterior(
     k_max = first + j
     log_right = float(bound[j] + partial[j])
 
-    lws = np.concatenate(blocks)[k_min - lo : k_max - lo + 1]
+    lws = np.concatenate(blocks)
+    del blocks  # freed before the copy: the table keeps only k_min .. k_max
+    lws = lws[k_min - lo : k_max - lo + 1].copy()
     peak = float(lws.max())
-    log_normalizer = peak + math.log(float(np.exp(lws - peak).sum()))
-    probs = np.exp(lws - log_normalizer)
+    probs = np.subtract(lws, peak)  # one buffer for exp(lws - peak), then probs
+    log_normalizer = peak + math.log(float(np.exp(probs, out=probs).sum()))
+    np.exp(np.subtract(lws, log_normalizer, out=probs), out=probs)
     return PosteriorTable(
         params=params,
         x=x,

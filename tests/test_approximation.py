@@ -228,6 +228,8 @@ class TestWindowMassAccuracy:
             GammaApprox(shape=0.1, scale=0.7, kind="test"),
             # the moment-matched gamma of the b=0.5 reference set at x=0
             build_gamma("moment_matched", exact_posterior(derive_params(*LARGE_RATE), 0)),
+            # k = 1 lies far right of the mode, where a difference of P cancels to 0
+            GammaApprox(shape=0.3, scale=0.01, kind="test"),
         ],
     )
     def test_head_windows_at_shape_below_one(self, g):
@@ -236,6 +238,21 @@ class TestWindowMassAccuracy:
         for k in range(4):
             true = mpmath_window_mass(g.shape, g.scale, k)
             assert disc.probs[k] == pytest.approx(true, rel=1e-13, abs=0.0), k
+
+    @given(
+        log_shape=st.floats(min_value=math.log(0.02), max_value=math.log(2000.0)),
+        log_scale=st.floats(min_value=math.log(1e-3), max_value=math.log(1e4)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_head_windows_keep_relative_accuracy(self, log_shape, log_scale):
+        # head windows right of the mode, small ones included, where a
+        # difference of P would cancel
+        g = GammaApprox(shape=math.exp(log_shape), scale=math.exp(log_scale), kind="test")
+        disc = discretize_gamma(g, 0, 5, renormalize=False)
+        for k in range(6):
+            true = mpmath_window_mass(g.shape, g.scale, k)
+            if true > 1e-300:
+                assert disc.probs[k] == pytest.approx(true, rel=1e-10, abs=0.0), k
 
     @pytest.mark.parametrize(
         "g,k_max",

@@ -149,6 +149,9 @@ class TestExactPosterior:
         assert len(table.probs) > 28 * posterior_mod._BLOCK
         assert table.k_min > 10
         assert (table.k_min, table.k_max) == (oracle.k_min, oracle.k_max)
+        # the log-weights own exactly the table, not a view on every block
+        assert table.log_weights.base is None
+        assert len(table.log_weights) == table.k_max - table.k_min + 1
         assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert table.tail_bound <= 1e-10
         mu, _ = posterior_moments(table)
