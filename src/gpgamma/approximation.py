@@ -8,6 +8,7 @@ a pmf on integers by integrating the density over half-integer windows.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -34,9 +35,9 @@ __all__ = [
 
 KINDS = ("theorem1", "moment_matched")
 
-# 10-node Gauss-Legendre rule on [-1, 1], equal to
-# numpy.polynomial.legendre.leggauss(10); spelled out so that importing this
-# module does not load numpy.polynomial.
+# Gauss-Legendre rules on [-1, 1] as (nodes, weights), equal to
+# numpy.polynomial.legendre.leggauss(10) and leggauss(6); spelled out so that
+# importing this module does not load numpy.polynomial.
 _GL_NODES = np.array([
     -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
     -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
@@ -49,12 +50,48 @@ _GL_WEIGHTS = np.array([
     0.2692667193099965, 0.219086362515982, 0.1494513491505804,
     0.06667134430868814,
 ])
-# Windows per numpy block: each (10, block) float temporary stays ~320 kB.
+_GL6_NODES = np.array([
+    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
+])
+_GL6_WEIGHTS = np.array([
+    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
+])
+# Each rule's node offsets from the centre of a window of width 1 and its
+# weights, as (nodes, 1) columns
+_GL10 = (0.5 * _GL_NODES[:, None], 0.5 * _GL_WEIGHTS[:, None])
+_GL6 = (0.5 * _GL6_NODES[:, None], 0.5 * _GL6_WEIGHTS[:, None])
+# Columns 10-point, 6-point padded to 10 slots with weight 0, 10-point
+_GL_MIXED = tuple(
+    np.hstack([ten, np.vstack([six, np.zeros((4, 1))]), ten]) for ten, six in zip(_GL10, _GL6)
+)
+# Windows per numpy block: a float temporary is (10, block), 320 kB, or for
+# a block of 6-point windows (6, block), 192 kB.
 _GL_BLOCK = 4096
-# Steepest log-density slope |(shape-1)/t - 1/scale| the rule takes at a
-# window edge.  Against mpmath, over shapes 1.5-1001 and scales 0.05-100,
-# it stays within ~1e-12 up to 8; it errs 1.8e-11 at 10 and 1.6e-7 at 19.
+# Ranges of up to this many rule windows take one kernel pass even where they
+# mix the two rules: a pass costs about as much as 4 more node slots on 500
+# windows.
+_GL_ONE_PASS = 512
+# Steepest log-density slope |(shape-1)/t - 1/scale| the 10-point rule takes
+# at a window edge.  Against mpmath, over shapes 1.5-1001 and scales
+# 0.05-100, it stays within ~1e-12 up to 8; it errs 1.8e-11 at 10 and 1.6e-7
+# at 19.
 _GL_MAX_SLOPE = 8.0
+# Largest curvature |shape-1| / t^2 of the log-density the 10-point rule
+# takes at a window's left edge.  Near the mode it is 1/variance: at shape
+# 38.8, scale 0.05 (variance 0.097) the rule erred 3.1e-12 on the window
+# k = 2, whose edge slopes stay under 5.2.  Cauchy's estimate of the rule's
+# remainder for a Gaussian puts the limit at 5.66 for 1e-13.
+_GL_MAX_CURVE = 5.66
+# Largest relative remainder the 6-point rule may leave in a window, and
+# that over c_6 12! = (6!)^4 / (13 (12!)^2): _gl6_run bounds f^(12) / (12! f)
+_GL6_TOL = 1e-15
+_GL6_LIMIT = _GL6_TOL * 13 * math.factorial(12) ** 2 / math.factorial(6) ** 4
+_GL6_LOG_LIMIT = math.log(_GL6_LIMIT)
+# Loader's series for stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2,
+# exact to ~2e-16 for n > 15
+_STIRLERR = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
 
 
 @dataclass(frozen=True)
@@ -142,17 +179,21 @@ def discretize_gamma(
     """Integrate the gamma density over half-integer windows [k-1/2, k+1/2].
 
     Every window k >= 2 whose log-density slope |(shape-1)/t - 1/scale| at
-    both edges is at most ``_GL_MAX_SLOPE`` goes to a 10-node
-    Gauss-Legendre rule (``_gl_window_masses``).  No such window
+    both edges is at most ``_GL_MAX_SLOPE``, and whose curvature
+    |shape-1|/t^2 at the left edge is at most ``_GL_MAX_CURVE``, goes to a
+    Gauss-Legendre rule (``_gl_window_masses``): to the 6-node rule where a
+    bound on its remainder stays under ``_GL6_TOL`` of the window's mass
+    (``_gl6_run``), to the 10-node rule otherwise.  No rule window
     differences two CDF values, so far upper-tail windows keep their
-    relative accuracy (~1e-11 against mpmath) until their mass underflows
+    relative accuracy (~1e-13 against mpmath) until their mass underflows
     below ~1e-300.
-    The other windows, the steep ones and the head windows k <= 1 (for
-    shape < 1 the density is singular at 0, too close to [1/2, 3/2] for a
-    polynomial rule), are differences of the regularized incomplete gamma:
-    of P(shape, t/scale) for the k = 0 window, clipped to start at 0, and
-    left of the mode, of Q right of it.  The far edge then holds a small
-    fraction of the near edge's tail, so the difference does not cancel.
+    The other windows, the steep or sharply curved ones and the head
+    windows k <= 1 (for shape < 1 the density is singular at 0, too close
+    to [1/2, 3/2] for a polynomial rule), are differences of the
+    regularized incomplete gamma: of P(shape, t/scale) for the k = 0
+    window, clipped to start at 0, and left of the mode, of Q right of it.
+    The far edge then holds a small fraction of the near edge's tail, so
+    the difference does not cancel.
     A window's method depends on the window alone, not on the range asked
     for.
     With ``renormalize`` the window probabilities are rescaled to sum to one.
@@ -199,15 +240,17 @@ def _log_norm(g: GammaApprox) -> float:
 def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.ndarray:
     """Masses of the windows k = k_min .. k_max times e^(-shift)."""
     probs = np.empty(k_max - k_min + 1)
-    lo, hi = min(max(k_min, 2), k_max + 1), k_max  # the run of windows the rule takes
     rise, fall = g.shape - 1.0, 1.0 / g.scale  # the log-density slope is rise/t - fall
+    # the run of windows the rule takes; the curvature |rise| / t^2 falls with t
+    lo = min(max(k_min, 2, math.ceil(math.sqrt(abs(rise) / _GL_MAX_CURVE) + 0.5)), k_max + 1)
+    hi = k_max
     ends = max(abs(rise / (lo - 0.5) - fall), abs(rise / (k_max + 0.5) - fall))
     if lo <= k_max and ends > _GL_MAX_SLOPE:
         # |slope| peaks at an end of any range: the calm windows form one run
         calm = np.abs(rise / (np.arange(lo, k_max + 2) - 0.5) - fall) <= _GL_MAX_SLOPE
         run = np.flatnonzero(calm[:-1] & calm[1:]) + lo
         lo, hi = (int(run[0]), int(run[-1])) if run.size else (k_max + 1, k_max)
-    mode = (g.shape - 1.0) * g.scale
+    mode = rise * g.scale
     for k in (*range(k_min, lo), *range(hi + 1, k_max + 1)):
         a, b = max(k - 0.5, 0.0) / g.scale, (k + 0.5) / g.scale
         if k == 0 or k < mode:
@@ -219,48 +262,234 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
                 g.shape, b, shift=shift
             )
         probs[k - k_min] = max(mass, 0.0)
-    _gl_window_masses(g, lo, probs[lo - k_min : hi - k_min + 1], shift)
+    six = _gl6_run(g, lo, hi)
+    runs = [(lo, hi)] if hi - lo < _GL_ONE_PASS else [(lo, six[0] - 1), six, (six[1] + 1, hi)]
+    for first, last in runs:
+        _gl_window_masses(g, first, probs[first - k_min : last - k_min + 1], shift, six)
     return probs
 
 
+def _gl6_run(g: GammaApprox, lo: int, hi: int) -> tuple[int, int]:
+    """The windows of lo .. hi the 6-point rule takes, as one run (first, last).
+
+    A window takes it when a bound on its relative remainder stays under
+    ``_GL6_TOL``; an empty run is (hi + 1, hi).  The remainder is
+    c_6 f^(12)(xi) for some xi in the window (Abramowitz & Stegun 25.4.30,
+    with c_6 = (6!)^4 / (13 (12!)^3) for a window of width 1), and the
+    window's mass is at least f(xi) / (1 + A), A the larger |slope| of the
+    log-density at the window's edges.  f^(12)(xi) / (12! f(xi)) is the h^12
+    coefficient of
+
+        f(xi + h) / f(xi) = (1 + u)^(s-1) e^(-h/scale)
+                          = e^(slope h) (1 + u)^(s-1) e^(-(s-1) u),   u = h/xi,
+
+    bounded with 1/xi <= x in one of two ways.  Term by term, the first form
+    gives sum_m |binomial(s-1, m)| x^m scale^(m-12) / (12-m)!, whose terms
+    past m = s - 1 vanish for an integer shape and stay small near one.  By
+    Cauchy's estimate, max |F| / r^12 over |h| = r, the second form gives
+    e^(A r + (s-1) rho^2 / 2) / r^12 with rho = r x <= 2 for s >= 1, and
+    e^(A r + (1-s) rho^2) / r^12 with rho <= 1/2 for s < 1; where
+    (1 + u)^(s-1) has a branch point, at u = -1, rho stays below 0.9.  This
+    one keeps the cancellation of the linear term near the mode of a large
+    shape.  Its r is the least point of the exponent in that range, so like
+    the sum it grows with A and x.
+
+    Left of the mode A and 1/xi fall as k grows, so with x = 1/(k - 1/2)
+    the windows that pass end the left part, found by a search from lo.
+    Right of it A grows, and with x held at its bound there, 1/mode, the
+    windows that pass begin the right part: those whose A stays under a limit
+    solved for once.  The union of the two parts is one run.
+    """
+    rise, fall = g.shape - 1.0, 1.0 / g.scale
+    # the Cauchy bound's exponent is A r + curve x^2 r^2, for rho = r x <= rho_max
+    if rise >= 0.0:
+        curve, rho_max = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
+    else:
+        curve, rho_max = -rise, 0.5
+
+    def excess(a: float, x: float) -> tuple[float, float]:
+        # log of the Cauchy bound times 1 + A over _GL6_LIMIT, and its r
+        v = curve * x * x
+        r = min(24.0 / (a + math.sqrt(a * a + 96.0 * v)), rho_max / x)
+        return a * r + v * r * r - 12.0 * math.log(r) + math.log1p(a) - _GL6_LOG_LIMIT, r
+
+    def binomial_sum(x: float, room: float) -> float:
+        # the sum, or a part of it past ``room``
+        total, term = 0.0, fall**12 / math.factorial(12)
+        for m in range(13):
+            total += term
+            if total > room:
+                break
+            term *= abs(rise - m) / (m + 1) * x / fall * (12 - m)
+        return total
+
+    def slope(k: int) -> float:
+        return max(abs(rise / (k - 0.5) - fall), abs(rise / (k + 0.5) - fall))
+
+    def fits(k: int) -> bool:  # for a window left of the mode
+        a, x = slope(k), 1.0 / (k - 0.5)
+        if excess(a, x)[0] <= 0.0:
+            return True
+        room = _GL6_LIMIT / (1.0 + a)
+        return binomial_sum(x, room) <= room
+
+    mode = rise * g.scale
+    split = min(max(math.ceil(mode + 0.5), lo), hi + 1) if rise > 0.0 else hi + 1
+    first = _first(fits, lo, split - 1)
+    if split > hi:
+        return (first, hi) if first <= hi else (hi + 1, hi)
+    # Right of the mode, with x = 1/mode, the bounds depend on k only through
+    # A, which grows with k: the windows pass while A <= a_max.  The excess
+    # of the Cauchy bound is concave and rises in A, so Newton's method from
+    # A = 0 rises towards its root without passing it; the sum's limit on A
+    # is explicit.
+    x = 1.0 / max(mode, 1.5)
+    a_max = top = slope(hi)
+    if excess(top, x)[0] > 0.0:
+        a_max, a = -1.0, 0.0
+        for _ in range(8):
+            gap, r = excess(a, x)
+            if gap > 0.0:
+                break
+            a_max, a = a, a - gap / (r + 1.0 / (1.0 + a))
+            if gap > -1e-6:  # within a part in a million of the limit
+                break
+        room = _GL6_LIMIT / (1.0 + max(a_max, 0.0))
+        a_max = max(a_max, _GL6_LIMIT / binomial_sum(x, room) - 1.0)
+    last = hi if a_max >= top else max(split - 1, min(hi, int(rise / (fall - a_max) - 0.5)))
+    while last >= split and slope(last) > a_max:
+        last -= 1
+    while last < hi and slope(last + 1) <= a_max:
+        last += 1
+    return (first, last) if first <= last else (hi + 1, hi)
+
+
+def _first(holds, a: int, b: int) -> int:
+    """The first k of a .. b where ``holds``, false and then true, is true; b + 1 if none.
+
+    Tries a and b, then a + 1, a + 3, a + 7, ..., and bisects the last step.
+    """
+    if a > b or holds(a):
+        return a
+    if a == b or not holds(b):
+        return b + 1
+    lo, step = a, 1  # holds(lo) is false, holds(b) true
+    while lo + step < b and not holds(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = min(lo + step, b)
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=holds)
+
+
+def _log_peak(g: GammaApprox) -> float:
+    # log of the density at its mode (shape - 1) scale, for shape > 1:
+    # -log(2 pi n)/2 - stirlerr(n) - log(scale) with n = shape - 1, free of
+    # the cancellation between n log n and log Gamma(shape)
+    n = g.shape - 1.0
+    if n <= 15.0:
+        return n * math.log(n) - n - math.lgamma(g.shape) - math.log(g.scale)
+    nn = n * n
+    s0, s1, s2, s3, s4 = _STIRLERR
+    stirlerr = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+    return -0.5 * math.log(2.0 * math.pi * n) - stirlerr - math.log(g.scale)
+
+
+def _last_far_window(g: GammaApprox) -> int:
+    # The last window whose log1p(u) the kernel takes as log(t/c).  Left of
+    # the mode c, u = (t - c)/c carries an error of ~eps that 1 + u = t/c
+    # magnifies c/t times, so (shape-1) (log1p(u) - u) errs by up to
+    # ~2 (shape-1) (c/t) eps: past 1e-14 where (shape-1) c/t > 45, and the
+    # window lies left of c/2.
+    mode = (g.shape - 1.0) * g.scale
+    return math.floor(mode * min(0.5, (g.shape - 1.0) / 45.0) - 0.5)
+
+
 def _gl_window_masses(
-    g: GammaApprox, first: int, out: np.ndarray, shift: float = 0.0
+    g: GammaApprox, first: int, out: np.ndarray, shift: float, six: tuple[int, int]
 ) -> None:
-    """10-node Gauss-Legendre masses of the windows k = first, first + 1, ...
+    """Gauss-Legendre masses of the windows k = first, first + 1, ...
 
     Fills ``out``, one window per entry (first >= 1), with each mass times
-    e^(-shift).
+    e^(-shift).  The windows of the run ``six`` = (first, last) take the
+    6-point rule, the others the 10-point rule.
 
-    The rule is applied to the density
-    exp((shape-1) log t - t/scale - lgamma(shape) - shape log(scale) - shift),
-    evaluated with numpy in blocks of up to ``_GL_BLOCK`` windows.  A block
-    is laid out node-major, one row per node: every step is one in-place
-    pass, and the rule adds whole rows in the order numpy's pairwise sum
-    takes over 10 terms, so a window's mass equals, bit for bit, the row sum
-    of a (windows, 10) layout and does not depend on its block.
+    For shape > 1 the log-density is taken about its mode c = (shape-1) scale,
+    as log f(c) + (shape-1) (log1p(u) - u) with u = (t - c)/c, and t - c
+    built from small numbers, so no term of size (shape-1) log t cancels;
+    far left of c, where 1 + u keeps too few digits, log(t/c) stands for
+    log1p(u) (``_last_far_window``).  For shape <= 1 it is
+    (shape-1) log t - t/scale - log(Gamma(shape) scale^shape).
+    The masses are evaluated with numpy in blocks of up to ``_GL_BLOCK``
+    windows, laid out node-major, one row per node slot: every step is one
+    in-place pass.  A window has 10 slots, of which the 6-point rule fills 6:
+    a block of 6-point windows keeps only those, and in a block that mixes the
+    rules a 6-point window's other 4 slots have weight 0.  The slots are added
+    in numpy's pairwise order over a row of 10, so a window's mass equals, bit
+    for bit, the row sum of a (windows, 10) layout and depends neither on its
+    block nor on the rule of the windows next to it.
     """
+    if not len(out):
+        return
+    rise = g.shape - 1.0
+    if rise > 0.0:
+        mode = rise * g.scale
+        whole = round(mode)
+        lift = _log_peak(g) - shift
+    else:
+        mode, whole, lift = 0.0, 0, -_log_norm(g) - shift
     last = first + len(out) - 1
-    log_norm = _log_norm(g) + shift
-    offsets = 0.5 * _GL_NODES
-    weights = 0.5 * _GL_WEIGHTS
     for start in range(first, last + 1, _GL_BLOCK):
         stop = min(start + _GL_BLOCK, last + 1)
-        t = np.arange(start, stop, dtype=float) + offsets[:, None]
-        f = np.log(t)
-        f *= g.shape - 1.0
-        t /= g.scale
-        f -= t
-        f -= log_norm
+        # the block's 6-point windows, as columns a .. b-1
+        n = stop - start
+        a, b = min(max(six[0] - start, 0), n), min(max(six[1] + 1 - start, 0), n)
+        # 10-point windows on either side of 6-point ones take columns of
+        # _GL_MIXED, repeated
+        mixed = 0 < b - a < n
+        nodes, weights = _GL_MIXED if mixed else _GL6 if a < b else _GL10
+        counts = (a, b - a, n - b)
+        if mixed:
+            weights = np.repeat(weights, counts, axis=1)
+        if rise > 0.0:
+            # u = (t - c)/c = (k - whole)/c + (node + whole - c)/c
+            offsets = (nodes + (whole - mode)) / mode
+            t = np.arange(start - whole, stop - whole, dtype=float)
+            t /= mode
+            t = t + (np.repeat(offsets, counts, axis=1) if mixed else offsets)
+            f = np.log1p(t)
+            # log(t/c), from t itself, for log1p(u) where 1 + u lost digits
+            far = min(max(_last_far_window(g) + 1 - start, 0), n)
+            if far:
+                if mixed:
+                    nodes = np.repeat(nodes, counts, axis=1)
+                ratio = np.arange(start, start + far, dtype=float) + nodes[:, :far]
+                ratio /= mode
+                np.log(ratio, out=f[:, :far])
+            f -= t
+            f *= rise
+        else:
+            t = np.arange(start, stop, dtype=float) + (
+                np.repeat(nodes, counts, axis=1) if mixed else nodes
+            )
+            f = np.log(t)
+            f *= rise
+            t /= g.scale
+            f -= t
+        f += lift
         np.exp(f, out=f)
-        f *= weights[:, None]
-        # numpy's pairwise order for a row of 10:
-        # ((f0+f1)+(f2+f3)) + ((f4+f5)+(f6+f7)), then f8, then f9
-        f[0:8:2] += f[1:8:2]
-        f[0:8:4] += f[2:8:4]
-        f[0] += f[4]
-        f[0] += f[8]
-        f[0] += f[9]
-        out[start - first : stop - first] = f[0]
+        f *= weights
+        # ((f0+f1)+(f2+f3)) + ((f4+f5)+(f6+f7)), then f8, then f9; a 6-point
+        # block's f6 .. f9 are zero
+        window = out[start - first : stop - first]
+        if len(f) == 10:
+            f[0:8:2] += f[1:8:2]
+            f[0:8:4] += f[2:8:4]
+            f[0] += f[4]
+            f[0] += f[8]
+            np.add(f[0], f[9], out=window)
+        else:
+            f[0:6:2] += f[1:6:2]
+            f[0] += f[2]
+            np.add(f[0], f[4], out=window)
 
 
 def inequality_check(

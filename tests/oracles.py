@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume
 from scipy.integrate import IntegrationWarning, quad
 
-from gpgamma.approximation import _GL_NODES, _GL_WEIGHTS, GammaApprox
+from gpgamma.approximation import GammaApprox, _last_far_window, _log_peak
 from gpgamma.errors import NumericError
 from gpgamma.model import ModelParams, derive_params
 from gpgamma.posterior import PosteriorTable
@@ -89,24 +89,41 @@ def mpmath_window_pmf(shape: float, scale: float, k_min: int, k_max: int) -> np.
         return np.array([float(m / total) for m in masses])
 
 
-def rowmajor_window_masses(g: GammaApprox, k_min: int, k_max: int) -> np.ndarray:
-    """Gauss-Legendre masses of the windows k = max(k_min, 2) .. k_max.
+def rowmajor_window_masses(
+    g: GammaApprox, k_min: int, k_max: int, rule: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Gauss-Legendre masses of the windows k = max(k_min, 2) .. k_max by ``rule``.
 
-    The row-major block loop ``discretize_gamma`` replaced with its
-    node-major kernel: each block is a (windows, 10) array, reduced by a
-    numpy row sum.  A row holds one window, so its value does not depend on
-    the block it falls in.
+    ``rule`` is a (nodes, weights) pair on [-1, 1].  The row-major block loop
+    ``discretize_gamma`` replaced with its node-major kernel, on the same
+    log-density (about the mode for shape > 1, with log(t/c) for log1p(u)
+    far left of it): each block is a (windows, 10) array of node slots, a
+    6-point rule's last four slots of weight 0, reduced by a numpy row sum.
+    A row holds one window, so its value does not depend on the block it
+    falls in.
     """
     first = max(k_min, 2)
     probs = np.empty(max(k_max - first + 1, 0))
-    log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
-    offsets = 0.5 * _GL_NODES
-    weights = 0.5 * _GL_WEIGHTS
+    nodes, weights = rule
+    offsets, slots = np.zeros(10), np.zeros(10)
+    offsets[: len(nodes)], slots[: len(weights)] = 0.5 * nodes, 0.5 * weights
+    rise = g.shape - 1.0
+    mode = rise * g.scale
+    whole = round(mode) if rise > 0.0 else 0
     for start in range(first, k_max + 1, 4096):
         stop = min(start + 4096, k_max + 1)
-        t = np.arange(start, stop, dtype=float)[:, None] + offsets
-        log_f = (g.shape - 1.0) * np.log(t) - t / g.scale - log_norm
-        probs[start - first : stop - first] = (np.exp(log_f) * weights).sum(axis=1)
+        if rise > 0.0:
+            ks = np.arange(start, stop)
+            u = ((ks - whole) / mode)[:, None] + (offsets + (whole - mode)) / mode
+            log1p_u = np.log1p(u)
+            far = ks <= _last_far_window(g)
+            log1p_u[far] = np.log((ks[far].astype(float)[:, None] + offsets) / mode)
+            log_f = (log1p_u - u) * rise + _log_peak(g)
+        else:
+            t = np.arange(start, stop, dtype=float)[:, None] + offsets
+            log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
+            log_f = rise * np.log(t) - t / g.scale - log_norm
+        probs[start - first : stop - first] = (np.exp(log_f) * slots).sum(axis=1)
     return probs
 
 

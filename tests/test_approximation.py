@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpgamma.approximation as approximation_mod
 
 from gpgamma.approximation import (
+    _GL6_NODES,
+    _GL6_WEIGHTS,
     _GL_BLOCK,
     _GL_NODES,
     _GL_WEIGHTS,
@@ -301,21 +303,37 @@ class TestWindowMassAccuracy:
         length=st.integers(min_value=1, max_value=2 * _GL_BLOCK + 50),
         shape=st.floats(min_value=0.05, max_value=3000.0),
         scale=st.floats(min_value=0.5, max_value=500.0),
+        cut=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=40, deadline=None)
     def test_node_major_kernel_equals_the_row_major_loop(
-        self, block, k_min, length, shape, scale
+        self, block, k_min, length, shape, scale, cut
     ):
-        # every window, steep ones included (discretize_gamma sends those to
-        # incomplete-gamma differences; see test_steep_windows)
+        # every window on the 10-point rule, on the 6-point rule, and a run of
+        # 6-point windows between 10-point ones; steep windows included
+        # (discretize_gamma sends those to incomplete-gamma differences; see
+        # test_steep_windows)
         g = GammaApprox(shape=shape, scale=scale, kind="test")
         k_max = k_min + min(length, 3 * block + 50) - 1  # crosses block edges
         first = max(k_min, 2)
-        masses = np.empty(max(k_max - first + 1, 0))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(approximation_mod, "_GL_BLOCK", block)
-            _gl_window_masses(g, first, masses)
-        np.testing.assert_array_equal(masses, rowmajor_window_masses(g, k_min, k_max))
+        lo6 = first + int(cut * (k_max - first + 1) / 2)
+        hi6 = lo6 + (k_max - lo6) // 2
+        ten, six = (_GL_NODES, _GL_WEIGHTS), (_GL6_NODES, _GL6_WEIGHTS)
+        layouts = {
+            (k_max + 1, k_max): rowmajor_window_masses(g, k_min, k_max, ten),
+            (first, k_max): rowmajor_window_masses(g, k_min, k_max, six),
+            (lo6, hi6): np.concatenate([
+                rowmajor_window_masses(g, first, lo6 - 1, ten),
+                rowmajor_window_masses(g, lo6, hi6, six),
+                rowmajor_window_masses(g, hi6 + 1, k_max, ten),
+            ]),
+        }
+        for run, expected in layouts.items():
+            masses = np.empty(max(k_max - first + 1, 0))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(approximation_mod, "_GL_BLOCK", block)
+                _gl_window_masses(g, first, masses, 0.0, run)
+            np.testing.assert_array_equal(masses, expected)
 
     def test_nodes_and_weights_are_the_10_point_rule(self):
         from numpy.polynomial.legendre import leggauss
@@ -323,6 +341,38 @@ class TestWindowMassAccuracy:
         nodes, weights = leggauss(10)
         np.testing.assert_array_equal(_GL_NODES, nodes)
         np.testing.assert_array_equal(_GL_WEIGHTS, weights)
+
+    def test_nodes_and_weights_are_the_6_point_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(6)
+        np.testing.assert_array_equal(_GL6_NODES, nodes)
+        np.testing.assert_array_equal(_GL6_WEIGHTS, weights)
+
+    @given(
+        log_shape=st.floats(min_value=math.log(0.05), max_value=math.log(3000.0)),
+        log_scale=st.floats(min_value=math.log(0.05), max_value=math.log(1e4)),
+        where=st.floats(min_value=-8.0, max_value=8.0),
+        length=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    # variance 0.097: the 10-point rule erred 3.1e-12 at k = 2
+    @example(log_shape=math.log(38.8), log_scale=math.log(0.05), where=-6.0, length=12)
+    # far left of the mode, where log1p(u) - u loses digits
+    @example(log_shape=math.log(30.5), log_scale=math.log(1e4), where=-6.0, length=12)
+    def test_windows_near_the_mode_keep_relative_accuracy(
+        self, log_shape, log_scale, where, length
+    ):
+        # a range of windows starting within 8 sd of the mode, whatever rule
+        # or incomplete-gamma difference each window takes
+        g = GammaApprox(shape=math.exp(log_shape), scale=math.exp(log_scale), kind="test")
+        mode = max((g.shape - 1.0) * g.scale, 0.0)
+        k_min = max(int(mode + where * math.sqrt(g.shape) * g.scale), 0)
+        disc = discretize_gamma(g, k_min, k_min + length - 1, renormalize=False)
+        for i, k in enumerate(range(k_min, k_min + length)):
+            true = mpmath_window_mass(g.shape, g.scale, k)
+            if true > 1e-300:
+                assert disc.probs[i] == pytest.approx(true, rel=1e-12, abs=0.0), k
 
 
 class TestInequalityCheck:

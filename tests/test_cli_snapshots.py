@@ -15,8 +15,12 @@ posterior engine's normalizer: within 1e-14 of the Lerch form's error
 against mpmath), or a change of where the posterior table is truncated
 whose moved fields are checked the same way (the two-sided cut: the
 ``tail_bound`` of ``posterior_x0``/``posterior_x3`` against the per-term
-oracle, every field of the x = 100 sweep rows against mpmath), rewrites
-the fixtures, with
+oracle, every field of the x = 100 sweep rows against mpmath), or a change
+of quadrature rule whose moved fields are checked the same way (the
+6-point rule and the log-density taken about the mode: sweep index 2's
+moment-matched ``kl``, 8.00950713225e-06 -> 8.00950713239e-06, whose value
+from mpmath window masses is 8.00950713233e-06), rewrites the fixtures,
+with
 
     PYTHONPATH=src python3 tests/test_cli_snapshots.py
 """
