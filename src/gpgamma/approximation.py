@@ -84,6 +84,10 @@ _GL_MAX_SLOPE = 8.0
 # k = 2, whose edge slopes stay under 5.2.  Cauchy's estimate of the rule's
 # remainder for a Gaussian puts the limit at 5.66 for 1e-13.
 _GL_MAX_CURVE = 5.66
+# Narrowest gamma, in windows per standard deviation, whose windows may take
+# the 6-point rule.  A narrower gamma's tables are short: choosing the rule
+# costs 5-30 us of Python per call, and six nodes save ~20 ns per window.
+_GL6_MIN_SD = 32.0
 # Largest relative remainder the 6-point rule may leave in a window, and
 # that over c_6 12! = (6!)^4 / (13 (12!)^2): _gl6_run bounds f^(12) / (12! f)
 _GL6_TOL = 1e-15
@@ -183,7 +187,8 @@ def discretize_gamma(
     |shape-1|/t^2 at the left edge is at most ``_GL_MAX_CURVE``, goes to a
     Gauss-Legendre rule (``_gl_window_masses``): to the 6-node rule where a
     bound on its remainder stays under ``_GL6_TOL`` of the window's mass
-    (``_gl6_run``), to the 10-node rule otherwise.  No rule window
+    (``_gl6_run``) and the gamma's standard deviation spans at least
+    ``_GL6_MIN_SD`` windows, to the 10-node rule otherwise.  No rule window
     differences two CDF values, so far upper-tail windows keep their
     relative accuracy (~1e-13 against mpmath) until their mass underflows
     below ~1e-300.
@@ -262,7 +267,7 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
                 g.shape, b, shift=shift
             )
         probs[k - k_min] = max(mass, 0.0)
-    six = _gl6_run(g, lo, hi)
+    six = _gl6_run(g, lo, hi) if math.sqrt(g.shape) * g.scale >= _GL6_MIN_SD else (hi + 1, hi)
     runs = [(lo, hi)] if hi - lo < _GL_ONE_PASS else [(lo, six[0] - 1), six, (six[1] + 1, hi)]
     for first, last in runs:
         _gl_window_masses(g, first, probs[first - k_min : last - k_min + 1], shift, six)
