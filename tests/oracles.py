@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume
 from scipy.integrate import IntegrationWarning, quad
 
-from gpgamma.approximation import GammaApprox, _last_far_window, _log_peak
+from gpgamma.approximation import _GL_CENTRED_SHAPE, GammaApprox, _last_far_window, _log_peak
 from gpgamma.errors import NumericError
 from gpgamma.model import ModelParams, derive_params
 from gpgamma.posterior import PosteriorTable
@@ -96,7 +96,7 @@ def rowmajor_window_masses(
 
     ``rule`` is a (nodes, weights) pair on [-1, 1].  The row-major block loop
     ``discretize_gamma`` replaced with its node-major kernel, on the same
-    log-density (about the mode for shape > 1, with log(t/c) for log1p(u)
+    log-density (about the mode for large shapes, with log(t/c) for log1p(u)
     far left of it): each block is a (windows, 10) array of node slots, a
     6-point rule's last four slots of weight 0, reduced by a numpy row sum.
     A row holds one window, so its value does not depend on the block it
@@ -109,10 +109,10 @@ def rowmajor_window_masses(
     offsets[: len(nodes)], slots[: len(weights)] = 0.5 * nodes, 0.5 * weights
     rise = g.shape - 1.0
     mode = rise * g.scale
-    whole = round(mode) if rise > 0.0 else 0
+    whole = round(mode)
     for start in range(first, k_max + 1, 4096):
         stop = min(start + 4096, k_max + 1)
-        if rise > 0.0:
+        if g.shape > _GL_CENTRED_SHAPE:
             ks = np.arange(start, stop)
             u = ((ks - whole) / mode)[:, None] + (offsets + (whole - mode)) / mode
             log1p_u = np.log1p(u)
