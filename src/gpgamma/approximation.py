@@ -466,9 +466,10 @@ def _gl_window_masses(
             t = np.arange(start - whole, stop - whole, dtype=float)
             t /= mode
             t = t + (np.repeat(offsets, counts, axis=1) if mixed else offsets)
-            f = np.log1p(t)
             # log(t/c), from t itself, for log1p(u) where 1 + u lost digits
             far = min(max(_last_far_window(g) + 1 - start, 0), n)
+            f = np.empty_like(t)
+            np.log1p(t[:, far:], out=f[:, far:])
             if far:
                 if mixed:
                     nodes = np.repeat(nodes, counts, axis=1)
