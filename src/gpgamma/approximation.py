@@ -62,17 +62,9 @@ _GL6_WEIGHTS = np.array([
 # weights, as (nodes, 1) columns
 _GL10 = (0.5 * _GL_NODES[:, None], 0.5 * _GL_WEIGHTS[:, None])
 _GL6 = (0.5 * _GL6_NODES[:, None], 0.5 * _GL6_WEIGHTS[:, None])
-# Columns 10-point, 6-point padded to 10 slots with weight 0, 10-point
-_GL_MIXED = tuple(
-    np.hstack([ten, np.vstack([six, np.zeros((4, 1))]), ten]) for ten, six in zip(_GL10, _GL6)
-)
 # Windows per numpy block: a float temporary is (10, block), 320 kB, or for
-# a block of 6-point windows (6, block), 192 kB.
+# the 6-point rule (6, block), 192 kB.
 _GL_BLOCK = 4096
-# Ranges of up to this many rule windows take one kernel pass even where they
-# mix the two rules: a pass costs about as much as 4 more node slots on 500
-# windows.
-_GL_ONE_PASS = 512
 # Steepest log-density slope |(shape-1)/t - 1/scale| the 10-point rule takes
 # at a window edge.  Against mpmath, over shapes 1.5-1001 and scales
 # 0.05-100, it stays within ~1e-12 up to 8; it errs 1.8e-11 at 10 and 1.6e-7
@@ -273,9 +265,9 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
             )
         probs[k - k_min] = max(mass, 0.0)
     six = _gl6_run(g, lo, hi) if math.sqrt(g.shape) * g.scale >= _GL6_MIN_SD else (hi + 1, hi)
-    runs = [(lo, hi)] if hi - lo < _GL_ONE_PASS else [(lo, six[0] - 1), six, (six[1] + 1, hi)]
-    for first, last in runs:
-        _gl_window_masses(g, first, probs[first - k_min : last - k_min + 1], shift, six)
+    runs = [(lo, six[0] - 1, _GL10), (*six, _GL6), (six[1] + 1, hi, _GL10)]
+    for first, last, rule in runs:
+        _gl_window_masses(g, first, probs[first - k_min : last - k_min + 1], shift, rule)
     return probs
 
 
@@ -293,22 +285,23 @@ def _gl6_run(g: GammaApprox, lo: int, hi: int) -> tuple[int, int]:
         f(xi + h) / f(xi) = (1 + u)^(s-1) e^(-h/scale)
                           = e^(slope h) (1 + u)^(s-1) e^(-(s-1) u),   u = h/xi,
 
-    bounded with 1/xi <= x in one of two ways.  Term by term, the first form
-    gives sum_m |binomial(s-1, m)| x^m scale^(m-12) / (12-m)!, whose terms
-    past m = s - 1 vanish for an integer shape and stay small near one.  By
-    Cauchy's estimate, max |F| / r^12 over |h| = r, the second form gives
+    bounded with 1/xi <= x in one of two ways.  By Cauchy's estimate,
+    max |F| / r^12 over |h| = r, the second form gives
     e^(A r + (s-1) rho^2 / 2) / r^12 with rho = r x <= 2 for s >= 1, and
     e^(A r + (1-s) rho^2) / r^12 with rho <= 1/2 for s < 1; where
     (1 + u)^(s-1) has a branch point, at u = -1, rho stays below 0.9.  This
     one keeps the cancellation of the linear term near the mode of a large
-    shape.  Its r is the least point of the exponent in that range, so like
-    the sum it grows with A and x.
+    shape.  Its r is the least point of the exponent in that range.  Where
+    it fails, term by term the first form gives
+    sum_m |binomial(s-1, m)| x^m scale^(m-12) / (12-m)!, whose terms past
+    m = s - 1 vanish for an integer shape and stay small near one.  Both
+    grow with A and x.
 
-    Left of the mode A and 1/xi fall as k grows, so with x = 1/(k - 1/2)
-    the windows that pass end the left part, found by a search from lo.
-    Right of it A grows, and with x held at its bound there, 1/mode, the
-    windows that pass begin the right part: those whose A stays under a limit
-    solved for once.  The union of the two parts is one run.
+    Left of the mode, x = 1/(k - 1/2), and A and x fall as k grows: the
+    windows that pass end the left part.  Right of it, x is held at its
+    bound there, 1/mode, and A grows with k: the windows that pass begin the
+    right part.  So each part is found by a search, the union of the two is
+    one run, and whether a window takes the rule depends on the window alone.
     """
     rise, fall = g.shape - 1.0, 1.0 / g.scale
     # the Cauchy bound's exponent is A r + curve x^2 r^2, for rho = r x <= rho_max
@@ -316,61 +309,26 @@ def _gl6_run(g: GammaApprox, lo: int, hi: int) -> tuple[int, int]:
         curve, rho_max = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
     else:
         curve, rho_max = -rise, 0.5
+    mode = rise * g.scale
+    split = min(max(math.ceil(mode + 0.5), lo), hi + 1) if rise > 0.0 else hi + 1
 
-    def excess(a: float, x: float) -> tuple[float, float]:
-        # log of the Cauchy bound times 1 + A over _GL6_LIMIT, and its r
+    def fits(k: int) -> bool:
+        a = max(abs(rise / (k - 0.5) - fall), abs(rise / (k + 0.5) - fall))
+        x = 1.0 / (k - 0.5) if k < split else 1.0 / max(mode, 1.5)
         v = curve * x * x
         r = min(24.0 / (a + math.sqrt(a * a + 96.0 * v)), rho_max / x)
-        return a * r + v * r * r - 12.0 * math.log(r) + math.log1p(a) - _GL6_LOG_LIMIT, r
-
-    def binomial_sum(x: float, room: float) -> float:
-        # the sum, or a part of it past ``room``
-        total, term = 0.0, fall**12 / math.factorial(12)
+        if a * r + v * r * r - 12.0 * math.log(r) + math.log1p(a) <= _GL6_LOG_LIMIT:
+            return True
+        room, total, term = _GL6_LIMIT / (1.0 + a), 0.0, fall**12 / math.factorial(12)
         for m in range(13):
             total += term
             if total > room:
-                break
+                return False
             term *= abs(rise - m) / (m + 1) * x / fall * (12 - m)
-        return total
+        return True
 
-    def slope(k: int) -> float:
-        return max(abs(rise / (k - 0.5) - fall), abs(rise / (k + 0.5) - fall))
-
-    def fits(k: int) -> bool:  # for a window left of the mode
-        a, x = slope(k), 1.0 / (k - 0.5)
-        if excess(a, x)[0] <= 0.0:
-            return True
-        room = _GL6_LIMIT / (1.0 + a)
-        return binomial_sum(x, room) <= room
-
-    mode = rise * g.scale
-    split = min(max(math.ceil(mode + 0.5), lo), hi + 1) if rise > 0.0 else hi + 1
     first = _first(fits, lo, split - 1)
-    if split > hi:
-        return (first, hi) if first <= hi else (hi + 1, hi)
-    # Right of the mode, with x = 1/mode, the bounds depend on k only through
-    # A, which grows with k: the windows pass while A <= a_max.  The excess
-    # of the Cauchy bound is concave and rises in A, so Newton's method from
-    # A = 0 rises towards its root without passing it; the sum's limit on A
-    # is explicit.
-    x = 1.0 / max(mode, 1.5)
-    a_max = top = slope(hi)
-    if excess(top, x)[0] > 0.0:
-        a_max, a = -1.0, 0.0
-        for _ in range(8):
-            gap, r = excess(a, x)
-            if gap > 0.0:
-                break
-            a_max, a = a, a - gap / (r + 1.0 / (1.0 + a))
-            if gap > -1e-6:  # within a part in a million of the limit
-                break
-        room = _GL6_LIMIT / (1.0 + max(a_max, 0.0))
-        a_max = max(a_max, _GL6_LIMIT / binomial_sum(x, room) - 1.0)
-    last = hi if a_max >= top else max(split - 1, min(hi, int(rise / (fall - a_max) - 0.5)))
-    while last >= split and slope(last) > a_max:
-        last -= 1
-    while last < hi and slope(last + 1) <= a_max:
-        last += 1
+    last = _first(lambda k: not fits(k), split, hi) - 1
     return (first, last) if first <= last else (hi + 1, hi)
 
 
@@ -391,12 +349,10 @@ def _first(holds, a: int, b: int) -> int:
 
 
 def _log_peak(g: GammaApprox) -> float:
-    # log of the density at its mode (shape - 1) scale, for shape > 1:
+    # log of the density at its mode (shape - 1) scale, for shape > 50:
     # -log(2 pi n)/2 - stirlerr(n) - log(scale) with n = shape - 1, free of
     # the cancellation between n log n and log Gamma(shape)
     n = g.shape - 1.0
-    if n <= 15.0:
-        return n * math.log(n) - n - math.lgamma(g.shape) - math.log(g.scale)
     nn = n * n
     s0, s1, s2, s3, s4 = _STIRLERR
     stirlerr = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
@@ -404,23 +360,23 @@ def _log_peak(g: GammaApprox) -> float:
 
 
 def _last_far_window(g: GammaApprox) -> int:
-    # The last window whose log1p(u) the kernel takes as log(t/c).  Left of
-    # the mode c, u = (t - c)/c carries an error of ~eps that 1 + u = t/c
-    # magnifies c/t times, so (shape-1) (log1p(u) - u) errs by up to
-    # ~2 (shape-1) (c/t) eps: past 1e-14 where (shape-1) c/t > 45, and the
-    # window lies left of c/2.
-    mode = (g.shape - 1.0) * g.scale
-    return math.floor(mode * min(0.5, (g.shape - 1.0) / 45.0) - 0.5)
+    # The last window whose log1p(u) the kernel takes as log(t/c), for
+    # shape > 50: left of c/2, 1 + u = t/c magnifies the ~eps error of
+    # u = (t - c)/c more than twice, past 1e-14 in (shape-1) (log1p(u) - u).
+    return math.floor((g.shape - 1.0) * g.scale / 2.0 - 0.5)
 
 
 def _gl_window_masses(
-    g: GammaApprox, first: int, out: np.ndarray, shift: float, six: tuple[int, int]
+    g: GammaApprox,
+    first: int,
+    out: np.ndarray,
+    shift: float,
+    rule: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Gauss-Legendre masses of the windows k = first, first + 1, ...
 
     Fills ``out``, one window per entry (first >= 1), with each mass times
-    e^(-shift).  The windows of the run ``six`` = (first, last) take the
-    6-point rule, the others the 10-point rule.
+    e^(-shift), by ``rule``, ``_GL10`` or ``_GL6``.
 
     For shape > ``_GL_CENTRED_SHAPE`` the log-density is taken about its
     mode c = (shape-1) scale, as log f(c) + (shape-1) (log1p(u) - u) with
@@ -429,59 +385,45 @@ def _gl_window_masses(
     digits, log(t/c) stands for log1p(u) (``_last_far_window``).  For
     smaller shapes it is (shape-1) log t - t/scale - log(Gamma(shape) scale^shape).
     The masses are evaluated with numpy in blocks of up to ``_GL_BLOCK``
-    windows, laid out node-major, one row per node slot: every step is one
-    in-place pass.  A window has 10 slots, of which the 6-point rule fills 6:
-    a block of 6-point windows keeps only those, and in a block that mixes the
-    rules a 6-point window's other 4 slots have weight 0.  The slots are added
-    in numpy's pairwise order over a row of 10, so a window's mass equals, bit
-    for bit, the row sum of a (windows, 10) layout and depends neither on its
-    block nor on the rule of the windows next to it.
+    windows, laid out node-major, one row per node: every step is one
+    in-place pass.  The rows are added in numpy's pairwise order over a row
+    of 10 (the 6-point rule's as if 4 more rows of weight 0 followed), so a
+    window's mass equals, bit for bit, the row sum of a (windows, 10) layout
+    and does not depend on its block.
     """
     if not len(out):
         return
+    nodes, weights = rule
     rise = g.shape - 1.0
     centred = g.shape > _GL_CENTRED_SHAPE
     if centred:
         mode = rise * g.scale
         whole = round(mode)
         lift = _log_peak(g) - shift
+        # u = (t - c)/c = (k - whole)/c + (node + whole - c)/c
+        offsets = (nodes + (whole - mode)) / mode
+        far_last = _last_far_window(g)
     else:
-        mode, whole, lift = 0.0, 0, -_log_norm(g) - shift
+        lift = -_log_norm(g) - shift
     last = first + len(out) - 1
     for start in range(first, last + 1, _GL_BLOCK):
         stop = min(start + _GL_BLOCK, last + 1)
-        # the block's 6-point windows, as columns a .. b-1
-        n = stop - start
-        a, b = min(max(six[0] - start, 0), n), min(max(six[1] + 1 - start, 0), n)
-        # 10-point windows on either side of 6-point ones take columns of
-        # _GL_MIXED, repeated
-        mixed = 0 < b - a < n
-        nodes, weights = _GL_MIXED if mixed else _GL6 if a < b else _GL10
-        counts = (a, b - a, n - b)
-        if mixed:
-            weights = np.repeat(weights, counts, axis=1)
         if centred:
-            # u = (t - c)/c = (k - whole)/c + (node + whole - c)/c
-            offsets = (nodes + (whole - mode)) / mode
             t = np.arange(start - whole, stop - whole, dtype=float)
             t /= mode
-            t = t + (np.repeat(offsets, counts, axis=1) if mixed else offsets)
+            t = t + offsets
             # log(t/c), from t itself, for log1p(u) where 1 + u lost digits
-            far = min(max(_last_far_window(g) + 1 - start, 0), n)
+            far = min(max(far_last + 1 - start, 0), stop - start)
             f = np.empty_like(t)
             np.log1p(t[:, far:], out=f[:, far:])
             if far:
-                if mixed:
-                    nodes = np.repeat(nodes, counts, axis=1)
-                ratio = np.arange(start, start + far, dtype=float) + nodes[:, :far]
+                ratio = np.arange(start, start + far, dtype=float) + nodes
                 ratio /= mode
                 np.log(ratio, out=f[:, :far])
             f -= t
             f *= rise
         else:
-            t = np.arange(start, stop, dtype=float) + (
-                np.repeat(nodes, counts, axis=1) if mixed else nodes
-            )
+            t = np.arange(start, stop, dtype=float) + nodes
             f = np.log(t)
             f *= rise
             t /= g.scale
@@ -489,16 +431,16 @@ def _gl_window_masses(
         f += lift
         np.exp(f, out=f)
         f *= weights
-        # ((f0+f1)+(f2+f3)) + ((f4+f5)+(f6+f7)), then f8, then f9; a 6-point
-        # block's f6 .. f9 are zero
         window = out[start - first : stop - first]
         if len(f) == 10:
+            # ((f0+f1)+(f2+f3)) + ((f4+f5)+(f6+f7)), then f8, then f9
             f[0:8:2] += f[1:8:2]
             f[0:8:4] += f[2:8:4]
             f[0] += f[4]
             f[0] += f[8]
             np.add(f[0], f[9], out=window)
         else:
+            # ((f0+f1)+(f2+f3)) + (f4+f5)
             f[0:6:2] += f[1:6:2]
             f[0] += f[2]
             np.add(f[0], f[4], out=window)

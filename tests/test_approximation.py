@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 import gpgamma.approximation as approximation_mod
 
 from gpgamma.approximation import (
+    _GL6,
     _GL6_NODES,
     _GL6_WEIGHTS,
+    _GL10,
     _GL_BLOCK,
     _GL_NODES,
     _GL_WEIGHTS,
     KINDS,
     GammaApprox,
+    _gl6_run,
     _gl_window_masses,
     build_gamma,
     discretize_gamma,
@@ -297,43 +300,55 @@ class TestWindowMassAccuracy:
         right = discretize_gamma(g, split, k_max, renormalize=False)
         np.testing.assert_array_equal(whole.probs, np.concatenate([left.probs, right.probs]))
 
+    @given(
+        shape=st.floats(min_value=0.05, max_value=3000.0),
+        scale=st.floats(min_value=0.05, max_value=1e4),
+        where=st.floats(min_value=-8.0, max_value=40.0),
+        length=st.integers(min_value=1, max_value=5000),
+        start=st.integers(min_value=0, max_value=5000),
+        sub=st.integers(min_value=0, max_value=5000),
+    )
+    @settings(max_examples=200, deadline=None)
+    # the 6-point run of 87855 .. 88061 ends at k = 87861, whose slope lies
+    # within 1e-10 of the largest the bound admits right of the mode
+    @example(shape=2845.329, scale=1.064435465622866, where=1494.0, length=207, start=0, sub=6)
+    def test_6_point_rule_choice_depends_on_the_window_alone(
+        self, shape, scale, where, length, start, sub
+    ):
+        # the run chosen for a subrange is the run of the whole range, cut to it
+        g = GammaApprox(shape=shape, scale=scale, kind="test")
+        mode = max((g.shape - 1.0) * g.scale, 0.0)
+        lo = max(int(mode + where * math.sqrt(g.shape) * g.scale), 2)
+        hi = lo + length - 1
+        a = lo + min(start, length - 1)
+        b = min(a + sub, hi)
+        first, last = _gl6_run(g, lo, hi)
+        first, last = max(first, a), min(last, b)
+        assert _gl6_run(g, a, b) == ((first, last) if first <= last else (b + 1, b))
+
     @pytest.mark.parametrize("block", [_GL_BLOCK, 1, 7, 64])
     @given(
         k_min=st.integers(min_value=0, max_value=3000),
         length=st.integers(min_value=1, max_value=2 * _GL_BLOCK + 50),
         shape=st.floats(min_value=0.05, max_value=3000.0),
         scale=st.floats(min_value=0.5, max_value=500.0),
-        cut=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=40, deadline=None)
     def test_node_major_kernel_equals_the_row_major_loop(
-        self, block, k_min, length, shape, scale, cut
+        self, block, k_min, length, shape, scale
     ):
-        # every window on the 10-point rule, on the 6-point rule, and a run of
-        # 6-point windows between 10-point ones; steep windows included
-        # (discretize_gamma sends those to incomplete-gamma differences; see
-        # test_steep_windows)
+        # every window, steep ones included (discretize_gamma sends those to
+        # incomplete-gamma differences; see test_steep_windows), by either rule
         g = GammaApprox(shape=shape, scale=scale, kind="test")
         k_max = k_min + min(length, 3 * block + 50) - 1  # crosses block edges
         first = max(k_min, 2)
-        lo6 = first + int(cut * (k_max - first + 1) / 2)
-        hi6 = lo6 + (k_max - lo6) // 2
-        ten, six = (_GL_NODES, _GL_WEIGHTS), (_GL6_NODES, _GL6_WEIGHTS)
-        layouts = {
-            (k_max + 1, k_max): rowmajor_window_masses(g, k_min, k_max, ten),
-            (first, k_max): rowmajor_window_masses(g, k_min, k_max, six),
-            (lo6, hi6): np.concatenate([
-                rowmajor_window_masses(g, first, lo6 - 1, ten),
-                rowmajor_window_masses(g, lo6, hi6, six),
-                rowmajor_window_masses(g, hi6 + 1, k_max, ten),
-            ]),
-        }
-        for run, expected in layouts.items():
+        tables = [(_GL10, (_GL_NODES, _GL_WEIGHTS)), (_GL6, (_GL6_NODES, _GL6_WEIGHTS))]
+        for rule, table in tables:
             masses = np.empty(max(k_max - first + 1, 0))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(approximation_mod, "_GL_BLOCK", block)
-                _gl_window_masses(g, first, masses, 0.0, run)
-            np.testing.assert_array_equal(masses, expected)
+                _gl_window_masses(g, first, masses, 0.0, rule)
+            np.testing.assert_array_equal(masses, rowmajor_window_masses(g, k_min, k_max, table))
 
     def test_nodes_and_weights_are_the_10_point_rule(self):
         from numpy.polynomial.legendre import leggauss
