@@ -62,8 +62,8 @@ _GL6_WEIGHTS = np.array([
 # weights, as (nodes, 1) columns
 _GL10 = (0.5 * _GL_NODES[:, None], 0.5 * _GL_WEIGHTS[:, None])
 _GL6 = (0.5 * _GL6_NODES[:, None], 0.5 * _GL6_WEIGHTS[:, None])
-# Windows per numpy block: a float temporary is (10, block), 320 kB, or for
-# the 6-point rule (6, block), 192 kB.
+# Windows per numpy block.  A kernel call allocates one workspace, two
+# (nodes, block) arrays: 640 kB for the 10-point rule, 384 kB for the 6-point.
 _GL_BLOCK = 4096
 # Steepest log-density slope |(shape-1)/t - 1/scale| the 10-point rule takes
 # at a window edge.  Against mpmath, over shapes 1.5-1001 and scales
@@ -224,7 +224,7 @@ def discretize_gamma(
             raise DomainError(
                 f"window k={k_min}..{k_max} carries no gamma mass; cannot renormalize"
             )
-        probs = probs / total
+        probs /= total
     return DiscretePmf(
         k_min=k_min,
         probs=probs,
@@ -385,11 +385,12 @@ def _gl_window_masses(
     digits, log(t/c) stands for log1p(u) (``_last_far_window``).  For
     smaller shapes it is (shape-1) log t - t/scale - log(Gamma(shape) scale^shape).
     The masses are evaluated with numpy in blocks of up to ``_GL_BLOCK``
-    windows, laid out node-major, one row per node: every step is one
-    in-place pass.  The rows are added in numpy's pairwise order over a row
-    of 10 (the 6-point rule's as if 4 more rows of weight 0 followed), so a
-    window's mass equals, bit for bit, the row sum of a (windows, 10) layout
-    and does not depend on its block.
+    windows, laid out node-major, one row per node, in one workspace that
+    every block of the call reuses: every step is one in-place pass.  The
+    rows are added in numpy's pairwise order over a row of 10 (the 6-point
+    rule's as if 4 more rows of weight 0 followed), so a window's mass
+    equals, bit for bit, the row sum of a (windows, 10) layout and does not
+    depend on its block.
     """
     if not len(out):
         return
@@ -406,25 +407,26 @@ def _gl_window_masses(
     else:
         lift = -_log_norm(g) - shift
     last = first + len(out) - 1
+    work = np.empty((2, len(nodes), min(_GL_BLOCK, len(out))))  # t and f of every block
     for start in range(first, last + 1, _GL_BLOCK):
         stop = min(start + _GL_BLOCK, last + 1)
+        t, f = work[:, :, : stop - start]
         if centred:
-            t = np.arange(start - whole, stop - whole, dtype=float)
-            t /= mode
-            t = t + offsets
+            col = np.arange(start - whole, stop - whole, dtype=float)
+            col /= mode
+            np.add(col, offsets, out=t)
             # log(t/c), from t itself, for log1p(u) where 1 + u lost digits
             far = min(max(far_last + 1 - start, 0), stop - start)
-            f = np.empty_like(t)
             np.log1p(t[:, far:], out=f[:, far:])
             if far:
-                ratio = np.arange(start, start + far, dtype=float) + nodes
+                ratio = np.add(np.arange(start, start + far, dtype=float), nodes, out=f[:, :far])
                 ratio /= mode
-                np.log(ratio, out=f[:, :far])
+                np.log(ratio, out=ratio)
             f -= t
             f *= rise
         else:
-            t = np.arange(start, stop, dtype=float) + nodes
-            f = np.log(t)
+            np.add(np.arange(start, stop, dtype=float), nodes, out=t)
+            np.log(t, out=f)
             f *= rise
             t /= g.scale
             f -= t

@@ -39,7 +39,8 @@ __all__ = [
 # Most terms exact_posterior evaluates, both sides of the mode together
 # (~80 MB of log-weights).
 _MAX_TERMS = 10**7
-# Terms per numpy block: each float temporary stays ~128 kB.
+# Terms per numpy block, 128 kB of log-weights; its evaluation and bounds
+# take a few buffers of that size.
 _BLOCK = 16384
 _MOMENT_TAIL_CAP = 1e-6
 _LERCH_EPS = 1e-12
@@ -76,6 +77,12 @@ class PosteriorTable:
         # reduced once per table, however many callers take the moments
         return window_moments(self.k_min, self.probs)
 
+    @cached_property
+    def _mean_inverse(self) -> float:
+        # E[1/k] under the table, for dropped_term_ratio; once per table too
+        ks = np.arange(self.k_min, self.k_max + 1, dtype=float)
+        return float(np.divide(self.probs, ks, out=ks).sum())
+
 
 def _outward_bounds(
     lw: np.ndarray, state: tuple[float, float], log_share: float
@@ -96,14 +103,20 @@ def _outward_bounds(
     # run entries lie at most ~log(mode) above the first (t_k / k rises
     # below the mode), so exp cannot overflow
     top = max(log_before, float(lw[0]))
-    log_partial = top + np.log(math.exp(log_before - top) + np.exp(lw - top).cumsum())
-    step = lw - np.concatenate(([prev], lw[:-1]))
-    bound = lw + step - log_partial
+    log_partial = lw - top  # one buffer for exp, the running sum and log
+    np.cumsum(np.exp(log_partial, out=log_partial), out=log_partial)
+    np.log(np.add(log_partial, math.exp(log_before - top), out=log_partial), out=log_partial)
+    log_partial += top
+    step = np.empty_like(lw)
+    step[0] = lw[0] - prev
+    np.subtract(lw[1:], lw[:-1], out=step[1:])
+    bound = lw + step
+    bound -= log_partial
     near = bound < log_share
     i = int(near.argmax()) if near.any() else len(lw) - 1
-    step = np.minimum(step[i:], 0.0)
+    tail = np.minimum(step[i:], 0.0, out=step[i:])
     with np.errstate(divide="ignore"):  # a step of 0 gives log(0) = -inf
-        bound[i:] -= np.log(-np.expm1(step))
+        bound[i:] -= np.log(np.negative(np.expm1(tail, out=tail), out=tail), out=tail)
     return bound, log_partial
 
 
@@ -143,7 +156,7 @@ def exact_posterior(
     sum.  Probabilities are normalized over the truncated support.
 
     The log-weights are evaluated in numpy blocks of at most ``_BLOCK``
-    terms (~128 kB per temporary).  The first block is centred on the mode
+    terms (128 kB of log-weights).  The first block is centred on the mode
     and sized from the spread sd = sqrt(x+1)/rate: with D = -log(eps_tail/2)
     it reaches sqrt(2D) sd + 64 terms to the left and 0.75 D/rate more to
     the right, where the posterior's tail is heavier (a gamma's upper
@@ -181,9 +194,14 @@ def exact_posterior(
         # log t_k for k = lo .. hi-1, and log k when x > 0
         ks = np.arange(lo, hi, dtype=float)
         if x == 0:
-            return -rate * ks, None
+            return np.multiply(ks, -rate, out=ks), None
         log_k = np.log(ks)
-        return log_k + (x - 1) * np.log(ks + g) - rate * ks, log_k
+        lw = ks + g
+        np.log(lw, out=lw)
+        lw *= x - 1
+        lw += log_k
+        lw -= np.multiply(ks, rate, out=ks)
+        return lw, log_k
 
     # the mode solves rate k^2 - (x - rate g) k - g = 0
     lin = x - rate * g
@@ -246,6 +264,7 @@ def exact_posterior(
         if cut[j] and first - j > x:
             k_min = first - j
             log_left = math.log(k_min - 1) + float(bound[j] + partial[j])
+        del mass, kept  # views into the blocks
 
     # Right side, k = mode + 1, ..., relative to the whole table so far.
     run, first, state = right_of_mode, mode + 1, (log_sum, lw_mode)
@@ -261,14 +280,18 @@ def exact_posterior(
             raise _limit_error(hi - lo, x, eps_tail, achieved)
         first, start = hi, hi
         hi = min(hi + grow, lo + _MAX_TERMS)
-        run, _ = evaluate(start, hi)
+        run = evaluate(start, hi)[0]
         blocks.append(run)
     k_max = first + j
     log_right = float(bound[j] + partial[j])
 
+    # k_min lies in the first block and k_max in the last: copy just k_min ..
+    # k_max, with no other array alive, and drop the blocks before probs
+    del lw, log_k, right_of_mode, run, bound, partial
+    blocks[0] = blocks[0][k_min - lo :]
+    blocks[-1] = blocks[-1][: len(blocks[-1]) - (hi - 1 - k_max)]
     lws = np.concatenate(blocks)
-    del blocks  # freed before the copy: the table keeps only k_min .. k_max
-    lws = lws[k_min - lo : k_max - lo + 1].copy()
+    del blocks
     peak = float(lws.max())
     probs = np.subtract(lws, peak)  # one buffer for exp(lws - peak), then probs
     log_normalizer = peak + math.log(float(np.exp(probs, out=probs).sum()))
@@ -307,9 +330,13 @@ def posterior_moments(table: PosteriorTable) -> tuple[float, float]:
 def window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:
     """Mean and variance of a pmf over k = k_min .. k_min + len(probs) - 1."""
     # elementwise multiply-and-sum, not np.dot: threaded BLAS costs ms per call
-    ks = np.arange(k_min, k_min + len(probs))
-    mu = float((ks * probs).sum())
-    return mu, float((probs * (ks - mu) ** 2).sum())
+    span = k_min, k_min + len(probs)
+    terms = np.arange(*span, dtype=float)
+    mu = float(np.multiply(terms, probs, out=terms).sum())
+    del terms  # one table-sized buffer at a time
+    dev = np.arange(*span, dtype=float)
+    dev -= mu
+    return mu, float(np.multiply(np.square(dev, out=dev), probs, out=dev).sum())
 
 
 def denominator_lerch(params: ModelParams, x: int) -> float:

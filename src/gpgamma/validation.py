@@ -109,7 +109,7 @@ def _dropped_term_ratio(table: PosteriorTable) -> float:
     g = (table.params.w - 1.0) * table.x
     if g == 0.0:
         return 0.0
-    ge = g * float((table.probs / table.support).sum())
+    ge = g * table._mean_inverse
     return ge / (1.0 + ge)
 
 
@@ -133,10 +133,15 @@ def compare(
         raise DomainError(f"epsilon must be positive, got {epsilon_ineq!r}")
     p = exact.probs
     q = approx.probs
-    tv = 0.5 * float(np.abs(p - q).sum())
-    mask = p > 0.0  # zero-mass entries contribute 0 to the divergence
-    kl = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], _KL_FLOOR))))
-    sup_abs = float(np.max(np.abs(p - q)))
+    work = p - q  # one table-sized buffer: |p - q|, then the KL terms
+    np.abs(work, out=work)
+    tv = 0.5 * float(work.sum())
+    sup_abs = float(work.max())
+    np.divide(p, np.maximum(q, _KL_FLOOR, out=work), out=work)
+    # zero-mass entries contribute 0 to the divergence: p / q is 0 there
+    np.log(work, out=work, where=p > 0.0)
+    kl = float(np.multiply(work, p, out=work).sum())
+    del work
     mean_exact, var_exact = posterior_moments(exact)
     mean_approx, var_approx = window_moments(approx.k_min, q)
     params = exact.params

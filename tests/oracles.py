@@ -174,6 +174,27 @@ def brute_moments(ks: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
     return mu, float(np.dot(probs, (ks - mu) ** 2))
 
 
+def expression_window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a pmf over k_min .. by whole-array expressions.
+
+    The form ``posterior.window_moments`` had before it reused its buffers:
+    an integer support, a fresh array for every product, the same sums.
+    """
+    ks = np.arange(k_min, k_min + len(probs))
+    mu = float((ks * probs).sum())
+    return mu, float((probs * (ks - mu) ** 2).sum())
+
+
+def masked_kl_terms(p: np.ndarray, q: np.ndarray, floor: float) -> np.ndarray:
+    """The terms p log(p / max(q, floor)) of the entries with p > 0.
+
+    The masked copies ``validation.compare`` summed before it took the
+    divergence in one buffer; their sum is its former ``kl``.
+    """
+    mask = p > 0.0
+    return p[mask] * np.log(p[mask] / np.maximum(q[mask], floor))
+
+
 def lerch_partial_sum(z: float, h: int, a: float, n_terms: int = 1_000_000) -> float:
     """Phi(z, -h, a) by a long direct partial sum (chunked to bound memory)."""
     total = 0.0

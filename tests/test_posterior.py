@@ -13,6 +13,7 @@ from gpgamma.posterior import (
     denominator_lerch,
     exact_posterior,
     posterior_moments,
+    window_moments,
 )
 
 from oracles import (
@@ -21,6 +22,7 @@ from oracles import (
     brute_posterior_weights,
     direct_denominator_sum,
     edge_point,
+    expression_window_moments,
     streaming_posterior,
 )
 
@@ -275,6 +277,15 @@ class TestPosteriorMoments:
             log_normalizer=0.0,
         )
         assert posterior_moments(table) == (3.0, 0.0)
+
+    @given(
+        k_min=st.integers(0, 10**7),
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_buffer_reuse_keeps_the_bits(self, k_min, probs):
+        probs = np.array(probs)
+        assert window_moments(k_min, probs) == expression_window_moments(k_min, probs)
 
     def test_loose_tail_is_refused(self):
         params = derive_params(*SMALL_RATE)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from gpgamma.errors import DomainError, NumericError, UnsupportedOrderError
 from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
 from gpgamma.validation import (
+    _KL_FLOOR,
     _dropped_term_ratio,
     compare,
     full_support_tv,
@@ -30,7 +32,7 @@ from gpgamma.validation import (
     verify_lerch_denominator,
 )
 
-from oracles import edge_point, mpmath_dropped_term_ratio
+from oracles import edge_point, masked_kl_terms, mpmath_dropped_term_ratio
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)
@@ -114,6 +116,43 @@ class TestCompare:
         )
         with pytest.raises(ValueError, match="renormalized"):
             compare(table, raw)
+
+    def test_zero_mass_entries_add_nothing_to_kl(self):
+        params = derive_params(*SMALL_RATE)
+        rep = compare(_table_with(params, 3, [0.5, 0.0, 0.5]), _pmf(3, [0.25, 0.5, 0.25]))
+        assert rep.kl == math.log(2.0)
+        assert (rep.tv, rep.sup_abs) == (0.5, 0.5)
+        # q below the floor is taken at the floor
+        rep = compare(_table_with(params, 3, [1.0, 0.0]), _pmf(3, [0.0, 1.0]))
+        assert rep.kl == math.log(1.0 / _KL_FLOOR)
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_distances_match_the_masked_formulas(self, pairs):
+        p, q = (np.array(column) for column in zip(*pairs))
+        params = derive_params(*SMALL_RATE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = compare(_table_with(params, 3, p), _pmf(3, q))
+        assert rep.tv == 0.5 * float(np.abs(p - q).sum())
+        assert rep.sup_abs == float(np.max(np.abs(p - q)))
+        terms = masked_kl_terms(p, q, _KL_FLOOR)
+        if (p > 0.0).all():
+            assert rep.kl == float(terms.sum())
+        else:
+            # the zero entries stay in the sum and move numpy's pairwise
+            # grouping; the terms may cancel, so the gap is bounded relative
+            # to their magnitude
+            assert abs(rep.kl - float(terms.sum())) <= 1e-15 * float(np.abs(terms).sum())
 
 
 def _reports(table):
