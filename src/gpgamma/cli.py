@@ -13,12 +13,11 @@ Exit status: 0 success, 1 domain or tolerance failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, TextIO
 
 from .approximation import KINDS, build_gamma, discretize_gamma
 from .errors import DomainError, NumericError, PrecisionError
@@ -55,39 +54,77 @@ class GridFormatError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class _Table:
-    """Rows of values in column order: CSV lines, or JSON objects keyed by column."""
+    """Columns of values, each of one type or None: CSV lines, or JSON objects keyed by column."""
 
     columns: Sequence[str]
-    rows: list[tuple]
+    values: Sequence[Sequence[Any]]  # one per column, or none for a table without rows
 
-    @classmethod
-    def from_arrays(cls, columns: Sequence[str], *arrays: Any) -> _Table:
-        """The table whose columns hold the given numpy arrays."""
-        return cls(columns, list(zip(*(a.tolist() for a in arrays))))
+
+_CHUNK_ROWS = 1024  # rows rendered per write, which bounds the row text held at once
+
+
+def _cells(values: Sequence[Any], json_out: bool) -> list[str]:
+    """One column's values as CSV fields or JSON values, rendered in one pass.
+
+    Floats print at 12 significant digits, -0.0 as 0, and in JSON as the repr
+    of that value (``Infinity``/``NaN`` if non-finite).  The repr has the same
+    digits, so only a text without a point, with an exponent that repr writes
+    out (e+12..e+15) or of a subnormal (e-3..) goes through ``json.dumps``.
+    Strings are quoted as ``csv.writer`` quotes them; None is empty or null.
+    """
+    values = values.tolist() if hasattr(values, "tolist") else values
+    present = [v for v in values if v is not None]
+    first = present[0] if present else None
+    if isinstance(first, float):
+        text = "\n".join(["%.12g"] * len(present)) % tuple([v + 0.0 for v in present])
+        cells = text.split("\n")
+        if json_out:
+            cells = [
+                c if "." in c and "e+" not in c and "e-3" not in c else json.dumps(float(c))
+                for c in cells
+            ]
+    elif isinstance(first, bool):
+        cells = ["true" if v else "false" for v in present]
+    elif isinstance(first, str) and json_out:
+        cells = list(map(json.dumps, present))
+    elif isinstance(first, str):
+        quote = ("," in v or '"' in v or "\n" in v for v in present)
+        cells = ['"%s"' % v.replace('"', '""') if q else v for v, q in zip(present, quote)]
+    else:
+        cells = list(map(str, present))
+    if len(present) < len(values):
+        filled = iter(cells)
+        cells = [next(filled) if v is not None else "null" if json_out else "" for v in values]
+    return cells
+
+
+def _write_table(out: TextIO, table: _Table, json_out: bool) -> None:
+    """Write ``table`` as CSV lines, or as a JSON document's list field, by chunks of rows."""
+    if json_out:
+        names = [json.dumps(col).replace("%", "%%") for col in table.columns]
+        fields = ",\n".join(f"      {name}: %s" for name in names)
+        join, lead, sep = f"    {{\n{fields}\n    }}".__mod__, "[\n", ",\n"
+    else:  # csv.writer quotes a row's only field when it is empty
+        join = ",".join if len(table.columns) > 1 else lambda row: row[0] or '""'
+        lead, sep = "", "\n"
+        out.write(join(_cells(table.columns, False)) + "\n")
+    rows = len(table.values[0]) if table.values else 0
+    for start in range(0, rows, _CHUNK_ROWS):
+        cells = [_cells(col[start : start + _CHUNK_ROWS], json_out) for col in table.values]
+        out.write(lead + sep.join(map(join, zip(*cells))))
+        lead = sep
+    out.write(("\n  ]" if rows else "[]") if json_out else ("\n" if rows else ""))
 
 
 def _fmt(value: Any) -> str:
-    """Render one CSV field: floats at 12 significant digits, None empty."""
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # normalize -0.0
-        return format(value, ".12g")
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return "" if value is None else str(value)
+    """Render one header value as a CSV field, a string as it is."""
+    return value if isinstance(value, str) else _cells([value], False)[0]
 
 
 def _round12(value: Any) -> Any:
     """Round floats (recursively) to 12 significant digits for JSON output."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         return float(_fmt(value))
-    if isinstance(value, _Table):
-        return [
-            {col: _round12(v) for col, v in zip(value.columns, row)}
-            for row in value.rows
-        ]
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -114,17 +151,21 @@ def _emit(
     """
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
-        sys.stdout.write(json.dumps(_round12(doc), indent=2) + "\n")
+        for i, (key, value) in enumerate(doc.items()):
+            sys.stdout.write(f"{',' if i else '{'}\n  {json.dumps(key)}: ")
+            if isinstance(value, _Table):
+                _write_table(sys.stdout, value, json_out=True)
+            else:
+                sys.stdout.write(json.dumps(_round12(value), indent=2).replace("\n", "\n  "))
+        sys.stdout.write("\n}\n")
         return
     sys.stdout.write(f"# schema_version={SCHEMA_VERSION}\n")
     sys.stdout.write(f"# {_kv({'command': args.command, **header}.items())}\n")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     for part in parts:
         if isinstance(part, str):
             sys.stdout.write(f"# {part}\n")
         else:
-            writer.writerow(part.columns)
-            writer.writerows([_fmt(v) for v in row] for row in part.rows)
+            _write_table(sys.stdout, part, json_out=False)
 
 
 def _model_echo(
@@ -139,9 +180,7 @@ def cmd_posterior(args: argparse.Namespace) -> int:
     params = derive_params(args.a, args.b, args.c)
     table = exact_posterior(params, args.x, args.eps_tail)
     mu, var = posterior_moments(table)
-    rows = _Table.from_arrays(
-        ("k", "prob", "log_weight"), table.support, table.probs, table.log_weights
-    )
+    rows = _Table(("k", "prob", "log_weight"), [table.support, table.probs, table.log_weights])
     footer = {"tail_bound": table.tail_bound, "mu_post": mu, "var_post": var}
     doc, header = _model_echo(args, params.m)
     _emit(
@@ -159,7 +198,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     g = build_gamma(args.kind, table)
     disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=False)
     gamma = {"shape": g.shape, "scale": g.scale, "mean": g.mean, "variance": g.variance}
-    rows = _Table.from_arrays(("k", "prob"), table.support, disc.probs)
+    rows = _Table(("k", "prob"), [table.support, disc.probs])
     footer = {"raw_total": disc.raw_total}
     doc, header = _model_echo(args, params.m)
     echo = {"kind": g.kind, "eps_tail": args.eps_tail}
@@ -170,10 +209,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
         [_kv(gamma.items()), rows, _kv(footer.items())],
     )
     return 0
-
-
-def _metric_values(rep: ComparisonReport) -> tuple:
-    return tuple(getattr(rep, col) for col in _METRIC_COLUMNS)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -187,10 +222,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
         discs.append(disc.probs)
         reports.append(compare(table, disc, args.epsilon_ineq))
-    metrics = _Table(_METRIC_COLUMNS, [_metric_values(rep) for rep in reports])
-    overlay = _Table.from_arrays(
-        ("k", "exact", *KINDS), table.support, table.probs, *discs
-    )
+    metrics = _Table(_METRIC_COLUMNS, [[getattr(r, c) for r in reports] for c in _METRIC_COLUMNS])
+    overlay = _Table(("k", "exact", *KINDS), [table.support, table.probs, *discs])
     doc, header = _model_echo(args, params.m)
     echo = {"eps_tail": args.eps_tail, "epsilon_ineq": args.epsilon_ineq}
     _emit(
@@ -256,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     rows = [row for name in names for row in suites[name]()]
-    checks = _Table(("check", "params", "relative_error", "pass"), rows)
+    checks = _Table(("check", "params", "relative_error", "pass"), list(zip(*rows)))
     echo = {"suite": args.suite}
     _emit(args, {**echo, "checks": checks}, echo, [checks])
     return 0 if all(ok for _, _, _, ok in rows) else 1
@@ -299,11 +332,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if f.name != "report"
         }
         if res.report is not None:
-            entry.update(zip(_METRIC_COLUMNS, _metric_values(res.report)))
+            entry.update((col, getattr(res.report, col)) for col in _METRIC_COLUMNS)
         entries.append(entry)
-    table = _Table(
-        _SWEEP_COLUMNS, [tuple(e.get(col) for col in _SWEEP_COLUMNS) for e in entries]
-    )
+    table = _Table(_SWEEP_COLUMNS, [[e.get(col) for e in entries] for col in _SWEEP_COLUMNS])
     echo = {
         "grid_file": args.grid_file,
         "eps_tail": args.eps_tail,

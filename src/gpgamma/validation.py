@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +42,6 @@ __all__ = [
     "SweepResult",
     "compare",
     "full_support_tv",
-    "golden_key",
-    "golden_lines",
-    "load_golden",
     "sweep",
     "verify_bernoulli_expansion",
     "verify_lerch_denominator",
@@ -246,46 +243,3 @@ def sweep(
                     SweepResult(index, a, b, c, x, g.kind, report=None, error=str(exc))
                 )
     return results
-
-
-# Golden fixtures: plain text, one record per line,
-#   a,b,c,x,kind,metric,value
-# with numbers rendered to 12 significant digits.
-
-_GOLDEN_METRICS = ("tv", "kl", "sup_abs")
-
-
-def _g12(value: float) -> str:
-    return format(value, ".12g")
-
-
-def golden_key(
-    a: float, b: float, c: float, x: int, kind: str, metric: str
-) -> tuple[str, str, str, str, str, str]:
-    """Canonical lookup key for one golden record."""
-    return (_g12(a), _g12(b), _g12(c), str(x), kind, metric)
-
-
-def golden_lines(reports: Iterable[ComparisonReport]) -> list[str]:
-    """Render the distance metrics of each report as golden-fixture lines."""
-    lines = []
-    for rep in reports:
-        for metric in _GOLDEN_METRICS:
-            key = golden_key(rep.a, rep.b, rep.c, rep.x, rep.kind, metric)
-            lines.append(",".join([*key, _g12(getattr(rep, metric))]))
-    return lines
-
-
-def load_golden(path) -> dict[tuple[str, str, str, str, str, str], float]:
-    """Parse a golden-fixture file into a {key: value} mapping."""
-    table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 7:
-                raise ValueError(f"malformed golden record: {line!r}")
-            table[tuple(fields[:6])] = float(fields[6])
-    return table

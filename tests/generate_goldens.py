@@ -18,10 +18,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from golden import golden_key  # noqa: E402
 from oracles import brute_moments, brute_posterior  # noqa: E402
 
 from gpgamma.model import derive_params  # noqa: E402
-from gpgamma.validation import golden_key  # noqa: E402
 
 GRID_SETS = ((1.5, 0.1, -0.05), (1.5, 0.5, -0.05))
 GRID_X = (5, 10, 20)

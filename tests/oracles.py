@@ -2,13 +2,20 @@
 
 Everything here recomputes results through routes the library does not use:
 adaptive quadrature, brute-force direct summation of the defining series,
-long partial sums, and mpmath reference evaluations.
+long partial sums, mpmath reference evaluations, and the CLI's former
+row-at-a-time renderer.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
+import dataclasses
+import json
 import math
+import sys
 import warnings
+from typing import Any, Iterable, Sequence
 
 import mpmath
 import numpy as np
@@ -16,6 +23,7 @@ from hypothesis import assume
 from scipy.integrate import IntegrationWarning, quad
 
 from gpgamma.approximation import _GL_CENTRED_SHAPE, GammaApprox, _last_far_window, _log_peak
+from gpgamma.cli import SCHEMA_VERSION
 from gpgamma.errors import NumericError
 from gpgamma.model import ModelParams, derive_params
 from gpgamma.posterior import PosteriorTable
@@ -357,3 +365,78 @@ def streaming_posterior(params: ModelParams, x: int, eps_tail: float) -> Posteri
         tail_bound=math.exp(log_left - log_normalizer) + math.exp(bound),
         log_normalizer=log_normalizer,
     )
+
+
+# The CLI renderer as it was before tables were rendered by column: one
+# ``_fmt`` call per CSV value inside ``csv.writer``, and for JSON a dict per
+# row under the pure-Python ``json.dumps(indent=2)`` encoder.  ``rowwise_emit``
+# is the former ``cli._emit``; the CLI's output must match it byte for byte.
+
+
+@dataclasses.dataclass(frozen=True)
+class RowTable:
+    """Rows of values in column order: CSV lines, or JSON objects keyed by column."""
+
+    columns: Sequence[str]
+    rows: list[tuple]
+
+
+def _fmt(value: Any) -> str:
+    """Render one CSV field: floats at 12 significant digits, None empty."""
+    if isinstance(value, float):
+        if value == 0.0:
+            value = 0.0  # normalize -0.0
+        return format(value, ".12g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _round12(value: Any) -> Any:
+    """Round floats (recursively) to 12 significant digits for JSON output."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, RowTable):
+        return [
+            {col: _round12(v) for col, v in zip(value.columns, row)}
+            for row in value.rows
+        ]
+    if isinstance(value, dict):
+        return {k: _round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round12(v) for v in value]
+    return value
+
+
+def _kv(pairs: Iterable[tuple[str, Any]]) -> str:
+    return " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
+
+
+def rowwise_emit(
+    args: argparse.Namespace,
+    doc: dict[str, Any],
+    header: dict[str, Any],
+    parts: Sequence[str | RowTable],
+) -> None:
+    """Write a command's output to stdout in the format ``args.format`` names.
+
+    JSON is ``doc`` after the schema version and command name, with each
+    table as a list of row objects.  CSV is a comment echoing the command
+    and ``header``, then ``parts`` in order: a string is a comment line, a
+    table its column line and rows.
+    """
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
+        sys.stdout.write(json.dumps(_round12(doc), indent=2) + "\n")
+        return
+    sys.stdout.write(f"# schema_version={SCHEMA_VERSION}\n")
+    sys.stdout.write(f"# {_kv({'command': args.command, **header}.items())}\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for part in parts:
+        if isinstance(part, str):
+            sys.stdout.write(f"# {part}\n")
+        else:
+            writer.writerow(part.columns)
+            writer.writerows([_fmt(v) for v in row] for row in part.rows)

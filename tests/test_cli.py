@@ -197,6 +197,18 @@ class TestProcess:
         assert stderr == b""
         assert status == 141
 
+    def test_closed_pipe_exits_141_without_traceback_json(self):
+        # ~0.4 MB of JSON rows, written a chunk of rows at a time
+        argv = ["posterior", *FIG_A, "-x", "1000", "--format", "json"]
+        cmd = [sys.executable, "-m", "gpgamma", *argv]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            status = proc.wait(timeout=120)
+            stderr = proc.stderr.read()
+        assert stderr == b""
+        assert status == 141
+
     def test_importing_the_cli_loads_no_heavy_module(self):
         code = (
             "import sys, gpgamma.cli; "

@@ -24,14 +24,12 @@ from gpgamma.validation import (
     _dropped_term_ratio,
     compare,
     full_support_tv,
-    golden_key,
-    golden_lines,
-    load_golden,
     sweep,
     verify_bernoulli_expansion,
     verify_lerch_denominator,
 )
 
+from golden import golden_key, golden_lines, load_golden
 from oracles import edge_point, masked_kl_terms, mpmath_dropped_term_ratio
 
 SMALL_RATE = (1.5, 0.1, -0.05)
