@@ -23,10 +23,9 @@ from .errors import (
     DomainError,
     NumericError,
     PrecisionError,
-    SupportError,
     UnsupportedOrderError,
 )
-from .model import ModelParams, derive_params, gp_log_pmf, gp_moments
+from .model import ModelParams, derive_params
 from .posterior import (
     PosteriorTable,
     denominator_lerch,
@@ -56,7 +55,6 @@ __all__ = [
     "NumericError",
     "PosteriorTable",
     "PrecisionError",
-    "SupportError",
     "SweepResult",
     "UnsupportedOrderError",
     "build_gamma",
@@ -66,8 +64,6 @@ __all__ = [
     "discretize_gamma",
     "exact_posterior",
     "full_support_tv",
-    "gp_log_pmf",
-    "gp_moments",
     "inequality_check",
     "moment_matched_gamma",
     "posterior_moments",

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelParams
 from .posterior import PosteriorTable, posterior_moments
-from .special import log_gamma, reg_lower_inc_gamma, reg_upper_inc_gamma
+from .special import reg_lower_inc_gamma, reg_upper_inc_gamma
 
 __all__ = [
     "KINDS",
@@ -448,6 +448,11 @@ def _gl_window_masses(
             np.add(f[0], f[4], out=window)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon > 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+
+
 def inequality_check(
     params: ModelParams, x: int, epsilon: float = 0.01
 ) -> InequalityResult:
@@ -463,8 +468,7 @@ def inequality_check(
     """
     if x < 1:
         raise DomainError(f"the diagnostic needs x >= 1, got x={x}")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    _check_epsilon(epsilon)
     lhs = float(math.trunc((1.0 - params.sqrt_m + params.rate) * x))
-    rhs = math.exp((log_gamma(x + 1.0) + math.log(epsilon)) / (x + 1.0))
+    rhs = math.exp((math.lgamma(x + 1.0) + math.log(epsilon)) / (x + 1.0))
     return InequalityResult(holds=lhs < rhs, lhs=lhs, rhs=rhs)

@@ -9,10 +9,6 @@ class UnsupportedOrderError(DomainError):
     """A Bernoulli order above the supported cap was requested."""
 
 
-class SupportError(DomainError):
-    """A pmf was evaluated where its defining expression is undefined."""
-
-
 class PrecisionError(ValueError):
     """A result would not meet the precision the operation guarantees."""
 

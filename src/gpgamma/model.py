@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SupportError
-from .special import log_gamma
+from .errors import DomainError
 
-__all__ = ["ModelParams", "derive_params", "gp_log_pmf", "gp_moments"]
+__all__ = ["ModelParams", "derive_params"]
 
 
 @dataclass(frozen=True)
@@ -75,37 +74,3 @@ def derive_params(a: float, b: float, c: float) -> ModelParams:
         w=1.0 + (1.0 - sqrt_m) / rate,
     )
 
-
-def gp_log_pmf(params: ModelParams, k: int, x: int) -> float:
-    """Log-probability ln P(X = x | k), computed entirely in log space.
-
-    ln P = ln lam1 + (x - 1) ln(lam1 + x lam2) - (lam1 + x lam2) - ln x!
-
-    The degenerate level k = 0 is the lam1 -> 0 limit: a point mass at
-    x = 0 (log-probability 0.0 there, -inf for x >= 1).
-
-    Raises:
-        SupportError: if lam1 + x*lam2 <= 0, which only happens in
-            parameter regimes (w <= 0) where the posterior is undefined
-            anyway; failing loudly beats returning a silent NaN.
-    """
-    if k < 0 or x < 0:
-        raise DomainError(f"k and x must be non-negative integers, got k={k}, x={x}")
-    if k == 0:
-        return 0.0 if x == 0 else -math.inf
-    lam1 = k * params.rate
-    base = lam1 + x * params.lambda2
-    if base <= 0.0:
-        raise SupportError(
-            f"pmf base lam1 + x*lambda2 = {base} is not positive at k={k}, x={x}; "
-            f"the parametrization is invalid on this support"
-        )
-    return math.log(lam1) + (x - 1) * math.log(base) - base - log_gamma(x + 1.0)
-
-
-def gp_moments(params: ModelParams, k: int) -> tuple[float, float]:
-    """Mean and variance of X given k: (k*b, k*b/m)."""
-    if k < 0:
-        raise DomainError(f"k must be a non-negative integer, got k={k}")
-    mean = k * params.b
-    return mean, mean / params.m

@@ -129,6 +129,11 @@ def _limit_error(evaluated: int, x: int, eps_tail: float, log_bound: float) -> N
     )
 
 
+def _check_eps_tail(eps_tail: float) -> None:
+    if not 0.0 < eps_tail <= 1e-3:
+        raise DomainError(f"eps_tail must lie in (0, 1e-3], got {eps_tail!r}")
+
+
 def exact_posterior(
     params: ModelParams, x: int, eps_tail: float = 1e-10
 ) -> PosteriorTable:
@@ -180,8 +185,7 @@ def exact_posterior(
     """
     if x < 0:
         raise DomainError(f"x must be a non-negative integer, got x={x}")
-    if not 0.0 < eps_tail <= 1e-3:
-        raise DomainError(f"eps_tail must lie in (0, 1e-3], got {eps_tail!r}")
+    _check_eps_tail(eps_tail)
     if x > 0 and params.w <= 0.0:
         raise DomainError(
             f"posterior with x > 0 requires w = 1 + lambda2/rate > 0, got w={params.w}"

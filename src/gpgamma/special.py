@@ -1,10 +1,10 @@
 """Scalar special-function kernel.
 
-Log-gamma, the regularized lower and upper incomplete gamma functions,
-Bernoulli numbers and polynomials, integer power sums, and the Lerch
-transcendent for non-positive integer order.  All functions are pure and
-may be called concurrently from any number of threads; the one shared
-state, the exact Bernoulli table, is immutable once built on first use.
+The regularized lower and upper incomplete gamma functions, Bernoulli
+numbers and polynomials, integer power sums, and the Lerch transcendent
+for non-positive integer order.  All functions are pure and may be called
+concurrently from any number of threads; the one shared state, the exact
+Bernoulli table, is immutable once built on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "bernoulli_polynomial",
     "lerch_phi",
     "lerch_phi_bernoulli",
-    "log_gamma",
     "power_sum",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
@@ -35,17 +34,6 @@ _INC_GAMMA_MAX_ITER = 500
 _LERCH_MAX_TERMS = 1_000_000
 _TINY = 1e-300
 _MIN_SHIFT = -math.log(sys.float_info.max)
-
-
-def log_gamma(u: float) -> float:
-    """Natural logarithm of the gamma function, ln Gamma(u), for u > 0.
-
-    Raises:
-        DomainError: if ``u`` is not a finite positive number.
-    """
-    if not math.isfinite(u) or u <= 0.0:
-        raise DomainError(f"log_gamma requires finite u > 0, got u={u!r}")
-    return math.lgamma(u)
 
 
 def reg_lower_inc_gamma(u: float, v: float, *, shift: float = 0.0) -> float:

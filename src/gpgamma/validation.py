@@ -17,6 +17,7 @@ from .approximation import (
     KINDS,
     DiscretePmf,
     GammaApprox,
+    _check_epsilon,
     build_gamma,
     discretize_gamma,
     inequality_check,
@@ -25,6 +26,7 @@ from .errors import DomainError, NumericError, PrecisionError
 from .model import ModelParams, derive_params
 from .posterior import (
     PosteriorTable,
+    _check_eps_tail,
     denominator_lerch,
     exact_posterior,
     posterior_moments,
@@ -126,8 +128,7 @@ def compare(
             f"misaligned supports: exact k={exact.k_min}..{exact.k_max}, "
             f"approx k={approx.k_min}..{approx.k_min + len(approx.probs) - 1}"
         )
-    if not epsilon_ineq > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon_ineq!r}")
+    _check_epsilon(epsilon_ineq)
     p = exact.probs
     q = approx.probs
     work = p - q  # one table-sized buffer: |p - q|, then the KL terms
@@ -219,8 +220,11 @@ def sweep(
     Produces two entries per point in input order.  Per-point failures are
     recorded in the result stream instead of aborting the sweep; a point
     whose table or gammas cannot be built gets one entry with kind None,
-    before any window is evaluated.
+    before any window is evaluated.  A bad ``eps_tail`` or ``epsilon_ineq``
+    raises ``DomainError`` before any point is run.
     """
+    _check_eps_tail(eps_tail)
+    _check_epsilon(epsilon_ineq)
     results: list[SweepResult] = []
     for index, (a, b, c, x) in enumerate(grid):
         try:

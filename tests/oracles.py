@@ -24,7 +24,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from gpgamma.approximation import _GL_CENTRED_SHAPE, GammaApprox, _last_far_window, _log_peak
 from gpgamma.cli import SCHEMA_VERSION
-from gpgamma.errors import NumericError
+from gpgamma.errors import DomainError, NumericError
 from gpgamma.model import ModelParams, derive_params
 from gpgamma.posterior import PosteriorTable
 
@@ -140,6 +140,32 @@ def direct_gp_pmf(params: ModelParams, k: int, x: int) -> float:
     lam1 = k * params.rate
     base = lam1 + x * params.lambda2
     return lam1 * base ** (x - 1) * math.exp(-base) / math.factorial(x)
+
+
+def gp_log_pmf(params: ModelParams, k: int, x: int) -> float:
+    """Log-probability ln P(X = x | k) of the count model, in log space.
+
+    ln P = ln lam1 + (x - 1) ln(lam1 + x lam2) - (lam1 + x lam2) - ln x!
+
+    with lam1 = k rate and lam2 = lambda2.  Under a flat prior on k it is
+    the posterior log-weight up to a constant in k, which makes it the
+    oracle for the engine's ``log_weights``.  The degenerate level k = 0 is
+    the lam1 -> 0 limit: a point mass at x = 0 (log-probability 0.0 there,
+    -inf for x >= 1).
+
+    Raises:
+        DomainError: for negative k or x, or where lam1 + x lam2 <= 0,
+            which only happens past the support's end when sqrt(m) > 1.
+    """
+    if k < 0 or x < 0:
+        raise DomainError(f"k and x must be non-negative integers, got k={k}, x={x}")
+    if k == 0:
+        return 0.0 if x == 0 else -math.inf
+    lam1 = k * params.rate
+    base = lam1 + x * params.lambda2
+    if base <= 0.0:
+        raise DomainError(f"pmf base lam1 + x*lambda2 = {base} is not positive at k={k}, x={x}")
+    return math.log(lam1) + (x - 1) * math.log(base) - base - math.lgamma(x + 1.0)
 
 
 def brute_posterior_weights(

@@ -54,6 +54,25 @@ def test_bad_eps_tail_exits_one(eps, capsys):
     assert "eps_tail" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--epsilon-ineq", "0"),
+        ("--epsilon-ineq", "nan"),
+        ("--eps-tail", "0"),
+        ("--eps-tail", "0.5"),
+    ],
+)
+def test_sweep_bad_tolerance_exits_one_with_empty_stdout(flag, value, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("1.5,0.1,-0.05,5\n1.5,0.5,-0.05,5\n")
+    status = cli.main(["sweep", str(grid), flag, value])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert "eps" in captured.err
+
+
 TOLERANCE_HELP = {
     "--eps-tail": "--eps-tail EPS_TAIL relative truncation tail for the exact posterior "
     "(default 1e-10)",

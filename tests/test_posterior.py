@@ -23,6 +23,7 @@ from oracles import (
     direct_denominator_sum,
     edge_point,
     expression_window_moments,
+    gp_log_pmf,
     streaming_posterior,
 )
 
@@ -79,6 +80,19 @@ class TestExactPosterior:
         for i, k in enumerate(table.support[:8]):
             expected = math.log(k) + (x - 1) * math.log(k + g) - params.rate * k
             assert table.log_weights[i] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [0, 1, 10, 100, 1000])
+    @pytest.mark.parametrize(
+        "abc",
+        [SMALL_RATE, LARGE_RATE, (0.0, 0.3, 0.0), (0.0, 0.01, 0.0), (0.0, 0.2, math.log(0.5))],
+    )
+    def test_log_weights_follow_model_pmf(self, abc, x):
+        # under a flat prior the log-weight is ln P(X = x | k) plus a constant in k
+        params = derive_params(*abc)
+        table = exact_posterior(params, x)
+        oracle = np.array([gp_log_pmf(params, int(k), x) for k in table.support])
+        gap = table.log_weights - oracle
+        assert gap.max() - gap.min() <= 1e-14 * np.abs(table.log_weights).max()
 
     def test_support_starts_at_x(self):
         # k_min = x while the terms near x still matter; at x = 12 the mode

@@ -14,33 +14,12 @@ from gpgamma.special import (
     bernoulli_polynomial,
     lerch_phi,
     lerch_phi_bernoulli,
-    log_gamma,
     power_sum,
     reg_lower_inc_gamma,
     reg_upper_inc_gamma,
 )
 
 from oracles import lerch_partial_sum, quad_reg_lower_inc_gamma
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    @pytest.mark.parametrize("u", [1e-3, 1e-2, 0.3, 1.5, 2.5, 10.0, 1e3, 1e6])
-    def test_against_mpmath(self, u):
-        expected = float(mpmath.loggamma(u))
-        if abs(expected) > 0.1:
-            assert log_gamma(u) == pytest.approx(expected, rel=1e-13)
-        else:
-            assert log_gamma(u) == pytest.approx(expected, abs=1e-13)
-
-    @pytest.mark.parametrize("u", [0.0, -1.0, math.inf, math.nan])
-    def test_domain(self, u):
-        with pytest.raises(DomainError):
-            log_gamma(u)
 
 
 class TestRegLowerIncGamma:

@@ -283,6 +283,22 @@ class TestSweep:
     def test_empty_grid(self):
         assert sweep([]) == []
 
+    @pytest.mark.parametrize(
+        "eps_tail,epsilon_ineq",
+        [(0.0, 0.01), (0.5, 0.01), (1e-10, 0.0), (1e-10, math.nan), (1e-10, -1.0)],
+    )
+    @pytest.mark.parametrize("points", [0, 2])
+    def test_bad_tolerance_refused_before_any_point(
+        self, monkeypatch, eps_tail, epsilon_ineq, points
+    ):
+        def no_table(*args):
+            raise AssertionError("a point ran before the tolerances were checked")
+
+        monkeypatch.setattr("gpgamma.validation.exact_posterior", no_table)
+        grid = [(*SMALL_RATE, 5), (*LARGE_RATE, 5)][:points]
+        with pytest.raises(DomainError, match="eps"):
+            sweep(grid, eps_tail, epsilon_ineq)
+
     def test_bad_point_is_recorded_not_fatal(self):
         grid = [
             (*SMALL_RATE, 5),
