@@ -8,7 +8,6 @@ a pmf on integers by integrating the density over half-integer windows.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -35,33 +34,29 @@ __all__ = [
 
 KINDS = ("theorem1", "moment_matched")
 
-# Gauss-Legendre rules on [-1, 1] as (nodes, weights), equal to
-# numpy.polynomial.legendre.leggauss(10) and leggauss(6); spelled out so that
-# importing this module does not load numpy.polynomial.
-_GL_NODES = np.array([
-    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
-    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
-    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-    0.9739065285171717,
-])
-_GL_WEIGHTS = np.array([
-    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
-    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
-    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
-    0.06667134430868814,
-])
-_GL6_NODES = np.array([
-    -0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
-    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
-])
-_GL6_WEIGHTS = np.array([
-    0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
-    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
-])
-# Each rule's node offsets from the centre of a window of width 1 and its
-# weights, as (nodes, 1) columns
-_GL10 = (0.5 * _GL_NODES[:, None], 0.5 * _GL_WEIGHTS[:, None])
-_GL6 = (0.5 * _GL6_NODES[:, None], 0.5 * _GL6_WEIGHTS[:, None])
+# Gauss-Legendre rules of 10, 6, 4 and 3 nodes for a window of width 1: each
+# node's offset from the window's centre and its weight, as (nodes, 1)
+# columns.  They are half of numpy.polynomial.legendre.leggauss(n), spelled
+# out so that importing this module does not load numpy.polynomial.
+_GL10, _GL6, _GL4, _GL3 = (
+    (0.5 * np.array(nodes)[:, None], 0.5 * np.array(weights)[:, None])
+    for nodes, weights in (
+        ([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+          -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+          0.4333953941292472, 0.6794095682990244, 0.8650633666889845, 0.9739065285171717],
+         [0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+          0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+          0.1494513491505804, 0.06667134430868814]),
+        ([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+          0.2386191860831969, 0.6612093864662645, 0.9324695142031519],
+         [0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+          0.46791393457269104, 0.3607615730481387, 0.17132449237917027]),
+        ([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526],
+         [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]),
+        ([-0.7745966692414834, 0.0, 0.7745966692414834],
+         [0.5555555555555557, 0.8888888888888888, 0.5555555555555557]),
+    )
+)
 # Windows per numpy block.  A kernel call allocates one workspace, two
 # (nodes, block) arrays: 640 kB for the 10-point rule, 384 kB for the 6-point.
 _GL_BLOCK = 4096
@@ -76,20 +71,33 @@ _GL_MAX_SLOPE = 8.0
 # k = 2, whose edge slopes stay under 5.2.  Cauchy's estimate of the rule's
 # remainder for a Gaussian puts the limit at 5.66 for 1e-13.
 _GL_MAX_CURVE = 5.66
+# Each rule with the corner (S, V, r) of the windows it may take, fewest
+# nodes last (see _rule_runs).  The 10-point rule's is its calm run, where
+# curve / t^2 <= _GL_MAX_CURVE / 2 for shape >= 1 (for shape < 1 no window
+# k >= 2 comes near it).  Each corner lies inside the one before, so the
+# runs nest, and keeps the estimate (1 + S) e^(S r + V r^2) / r^(2n) under
+# 1e-15 (2n + 1) binomial(2n, n)^2 = 1e-15 / (c_n (2n)!), c_n the remainder
+# constant of a window of width 1 (Abramowitz & Stegun 25.4.30).
+_GL_RULES = (
+    (_GL10, _GL_MAX_SLOPE, _GL_MAX_CURVE / 2.0, 0.0),
+    (_GL6, 0.3, 7.5e-3, 42.0),
+    (_GL4, 0.12, 5e-4, 42.0),
+    (_GL3, 0.023, 1.2e-5, 200.0),
+)
+assert all(
+    s <= s0 and v <= v0 and r >= r0
+    and (1.0 + s) * math.exp(s * r + v * r * r) / r ** (2 * len(nodes))
+    <= 1e-15 * (2 * len(nodes) + 1) * math.comb(2 * len(nodes), len(nodes)) ** 2
+    for (_, s0, v0, r0), ((nodes, _), s, v, r) in zip(_GL_RULES, _GL_RULES[1:])
+)
+# Fewest windows within 7 sd of the mean a fewer-node rule's run must hold,
+# about the fixed cost of one kernel pass: a narrow gamma's keep one pass.
+_GL_MIN_RUN = 512
 # Shapes above this take the log-density about the mode in the rules.  At
 # or below it the direct form's roundoff stays near 1e-13 (1.3e-13 at worst
 # over shapes 1-50, scales 0.05-1e4, within 8 sd of the mode), in fewer
 # steps per call.
 _GL_CENTRED_SHAPE = 50.0
-# Narrowest gamma, in windows per standard deviation, whose windows may take
-# the 6-point rule.  A narrower gamma's tables are short: choosing the rule
-# costs 5-30 us of Python per call, and six nodes save ~20 ns per window.
-_GL6_MIN_SD = 32.0
-# Largest relative remainder the 6-point rule may leave in a window, and
-# that over c_6 12! = (6!)^4 / (13 (12!)^2): _gl6_run bounds f^(12) / (12! f)
-_GL6_TOL = 1e-15
-_GL6_LIMIT = _GL6_TOL * 13 * math.factorial(12) ** 2 / math.factorial(6) ** 4
-_GL6_LOG_LIMIT = math.log(_GL6_LIMIT)
 # Loader's series for stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2,
 # exact to ~2e-16 for n > 15
 _STIRLERR = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
@@ -182,10 +190,13 @@ def discretize_gamma(
     Every window k >= 2 whose log-density slope |(shape-1)/t - 1/scale| at
     both edges is at most ``_GL_MAX_SLOPE``, and whose curvature
     |shape-1|/t^2 at the left edge is at most ``_GL_MAX_CURVE``, goes to a
-    Gauss-Legendre rule (``_gl_window_masses``): to the 6-node rule where a
-    bound on its remainder stays under ``_GL6_TOL`` of the window's mass
-    (``_gl6_run``) and the gamma's standard deviation spans at least
-    ``_GL6_MIN_SD`` windows, to the 10-node rule otherwise.  No rule window
+    Gauss-Legendre rule (``_gl_window_masses``) of 10, 6, 4 or 3 nodes: to
+    the fewest nodes whose remainder bound stays under 1e-15 of the
+    window's mass.  Each rule's windows form one run, found in closed form
+    (``_rule_runs``).  A rule of fewer than 10 nodes is used only where its
+    run holds at least ``_GL_MIN_RUN`` windows within 7 sd of the gamma's
+    mean, so a narrow gamma's windows take the 10-node rule in one pass.
+    No rule window
     differences two CDF values, so far upper-tail windows keep their
     relative accuracy (~1e-13 against mpmath) until their mass underflows
     below ~1e-300.
@@ -240,112 +251,99 @@ def _log_norm(g: GammaApprox) -> float:
 
 
 def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.ndarray:
-    """Masses of the windows k = k_min .. k_max times e^(-shift)."""
+    """Masses of the windows k = k_min .. k_max times e^(-shift).
+
+    Each Gauss-Legendre rule in use takes its run from ``_rule_runs``, found
+    in closed form and gated on the gamma alone, less the next run inside
+    it, in one kernel pass per piece; the windows outside the 10-point
+    rule's calm run take incomplete-gamma differences.
+    """
     probs = np.empty(k_max - k_min + 1)
-    rise, fall = g.shape - 1.0, 1.0 / g.scale  # the log-density slope is rise/t - fall
-    # the run of windows the rule takes; the curvature |rise| / t^2 falls with t
-    lo = min(max(k_min, 2, math.ceil(math.sqrt(abs(rise) / _GL_MAX_CURVE) + 0.5)), k_max + 1)
-    hi = k_max
-    ends = max(abs(rise / (lo - 0.5) - fall), abs(rise / (k_max + 0.5) - fall))
-    if lo <= k_max and ends > _GL_MAX_SLOPE:
-        # |slope| peaks at an end of any range: the calm windows form one run
-        calm = np.abs(rise / (np.arange(lo, k_max + 2) - 0.5) - fall) <= _GL_MAX_SLOPE
-        run = np.flatnonzero(calm[:-1] & calm[1:]) + lo
-        lo, hi = (int(run[0]), int(run[-1])) if run.size else (k_max + 1, k_max)
-    mode = rise * g.scale
-    for k in (*range(k_min, lo), *range(hi + 1, k_max + 1)):
+    runs = _rule_runs(g)
+    lo, hi = runs[0][:2]
+    mode = (g.shape - 1.0) * g.scale
+    for k in (*range(k_min, min(lo, k_max + 1)), *range(max(hi + 1, lo, k_min), k_max + 1)):
         a, b = max(k - 0.5, 0.0) / g.scale, (k + 0.5) / g.scale
-        if k == 0 or k < mode:
-            mass = reg_lower_inc_gamma(g.shape, b, shift=shift) - reg_lower_inc_gamma(
-                g.shape, a, shift=shift
-            )
+        if k == 0 or k < mode:  # P(b) - P(a); Q(a) - Q(b) right of the mode
+            inc, a, b = reg_lower_inc_gamma, b, a
         else:
-            mass = reg_upper_inc_gamma(g.shape, a, shift=shift) - reg_upper_inc_gamma(
-                g.shape, b, shift=shift
-            )
-        probs[k - k_min] = max(mass, 0.0)
-    six = _gl6_run(g, lo, hi) if math.sqrt(g.shape) * g.scale >= _GL6_MIN_SD else (hi + 1, hi)
-    runs = [(lo, six[0] - 1, _GL10), (*six, _GL6), (six[1] + 1, hi, _GL10)]
-    for first, last, rule in runs:
-        _gl_window_masses(g, first, probs[first - k_min : last - k_min + 1], shift, rule)
+            inc = reg_upper_inc_gamma
+        probs[k - k_min] = max(inc(g.shape, a, shift=shift) - inc(g.shape, b, shift=shift), 0.0)
+    for i, (first, last, rule) in enumerate(runs):
+        inner_first, inner_last = runs[i + 1][:2] if i + 1 < len(runs) else (last + 1, last)
+        for a, b in ((first, inner_first - 1), (inner_last + 1, last)):
+            a, b = max(a, k_min), min(b, k_max)
+            if a <= b:
+                _gl_window_masses(g, a, probs[a - k_min : b - k_min + 1], shift, rule)
     return probs
 
 
-def _gl6_run(g: GammaApprox, lo: int, hi: int) -> tuple[int, int]:
-    """The windows of lo .. hi the 6-point rule takes, as one run (first, last).
+def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndarray]]]:
+    """The run of windows each Gauss-Legendre rule takes, as (first, last, rule).
 
-    A window takes it when a bound on its relative remainder stays under
-    ``_GL6_TOL``; an empty run is (hi + 1, hi).  The remainder is
-    c_6 f^(12)(xi) for some xi in the window (Abramowitz & Stegun 25.4.30,
-    with c_6 = (6!)^4 / (13 (12!)^3) for a window of width 1), and the
-    window's mass is at least f(xi) / (1 + A), A the larger |slope| of the
-    log-density at the window's edges.  f^(12)(xi) / (12! f(xi)) is the h^12
-    coefficient of
+    The 10-point rule's calm run comes first, then each fewer-node rule's in
+    use, each inside the one before; a run without end stops near
+    sys.maxsize.  The rule with the corner (S, V, r) of ``_GL_RULES`` takes
+    the windows k >= 2 whose log-density |slope| = |(shape-1)/t - 1/scale|
+    is at most S at both edges t = k -+ 1/2, with v = curve / (k - 1/2)^2
+    at most V and k - 1/2 >= r / rho.  For n < 10 nodes that bounds the
+    remainder c_n f^(2n)(xi), xi in the window: the window's mass is at
+    least f(xi) / (1 + A), A the larger edge |slope|, and
+    f^(2n)(xi) / ((2n)! f(xi)) is the h^2n coefficient of
 
-        f(xi + h) / f(xi) = (1 + u)^(s-1) e^(-h/scale)
-                          = e^(slope h) (1 + u)^(s-1) e^(-(s-1) u),   u = h/xi,
+        f(xi + h) / f(xi) = e^(slope h) (1 + u)^(s-1) e^(-(s-1) u),   u = h/xi,
 
-    bounded with 1/xi <= x in one of two ways.  By Cauchy's estimate,
-    max |F| / r^12 over |h| = r, the second form gives
-    e^(A r + (s-1) rho^2 / 2) / r^12 with rho = r x <= 2 for s >= 1, and
-    e^(A r + (1-s) rho^2) / r^12 with rho <= 1/2 for s < 1; where
-    (1 + u)^(s-1) has a branch point, at u = -1, rho stays below 0.9.  This
-    one keeps the cancellation of the linear term near the mode of a large
-    shape.  Its r is the least point of the exponent in that range.  Where
-    it fails, term by term the first form gives
-    sum_m |binomial(s-1, m)| x^m scale^(m-12) / (12-m)!, whose terms past
-    m = s - 1 vanish for an integer shape and stay small near one.  Both
-    grow with A and x.
+    which Cauchy's estimate over |h| = r bounds by e^(A r + v r^2) / r^2n
+    while |u| <= r / (k - 1/2) <= rho: curve = (s-1)/2 and rho = 2 for an
+    integer s >= 1, rho = 0.9 for other s > 1 (a branch point at u = -1),
+    and curve = 1 - s, rho = 1/2 for s < 1.  The estimate grows with A and
+    v, so the corner's estimate bounds every window the rule takes.
 
-    Left of the mode, x = 1/(k - 1/2), and A and x fall as k grows: the
-    windows that pass end the left part.  Right of it, x is held at its
-    bound there, 1/mode, and A grows with k: the windows that pass begin the
-    right part.  So each part is found by a search, the union of the two is
-    one run, and whether a window takes the rule depends on the window alone.
+    Each condition holds on an interval of k, so each run's ends follow in
+    closed form, each settled on the conditions at its boundary window.  A
+    fewer-node rule whose run holds fewer than ``_GL_MIN_RUN`` windows
+    within 7 sd of the mean is not used, nor any rule inside it.  The runs
+    depend on the gamma alone, never on the range asked for.
     """
     rise, fall = g.shape - 1.0, 1.0 / g.scale
-    # the Cauchy bound's exponent is A r + curve x^2 r^2, for rho = r x <= rho_max
     if rise >= 0.0:
-        curve, rho_max = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
+        curve, rho = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
     else:
-        curve, rho_max = -rise, 0.5
-    mode = rise * g.scale
-    split = min(max(math.ceil(mode + 0.5), lo), hi + 1) if rise > 0.0 else hi + 1
+        curve, rho = -rise, 0.5
+    far = 7.0 * math.sqrt(g.shape) * g.scale
 
-    def fits(k: int) -> bool:
-        a = max(abs(rise / (k - 0.5) - fall), abs(rise / (k + 0.5) - fall))
-        x = 1.0 / (k - 0.5) if k < split else 1.0 / max(mode, 1.5)
-        v = curve * x * x
-        r = min(24.0 / (a + math.sqrt(a * a + 96.0 * v)), rho_max / x)
-        if a * r + v * r * r - 12.0 * math.log(r) + math.log1p(a) <= _GL6_LOG_LIMIT:
-            return True
-        room, total, term = _GL6_LIMIT / (1.0 + a), 0.0, fall**12 / math.factorial(12)
-        for m in range(13):
-            total += term
-            if total > room:
-                return False
-            term *= abs(rise - m) / (m + 1) * x / fall * (12 - m)
-        return True
+    def fits(k: int, slope: float, t_min: float) -> bool:
+        left, right = rise / (k - 0.5) - fall, rise / (k + 0.5) - fall
+        return k >= 2 and k - 0.5 >= t_min and abs(left) <= slope and abs(right) <= slope
 
-    first = _first(fits, lo, split - 1)
-    last = _first(lambda k: not fits(k), split, hi) - 1
-    return (first, last) if first <= last else (hi + 1, hi)
-
-
-def _first(holds, a: int, b: int) -> int:
-    """The first k of a .. b where ``holds``, false and then true, is true; b + 1 if none.
-
-    Tries a and b, then a + 1, a + 3, a + 7, ..., and bisects the last step.
-    """
-    if a > b or holds(a):
-        return a
-    if a == b or not holds(b):
-        return b + 1
-    lo, step = a, 1  # holds(lo) is false, holds(b) true
-    while lo + step < b and not holds(lo + step):
-        lo, step = lo + step, 2 * step
-    hi = min(lo + step, b)
-    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=holds)
+    runs = []
+    for rule, slope, v_max, radius in _GL_RULES if 2.0 * far >= _GL_MIN_RUN else _GL_RULES[:1]:
+        t_min = max(math.sqrt(curve / v_max), radius / rho)
+        # the edges t with |rise / t - fall| <= slope fill [t_lo, t_hi]
+        t_lo, t_hi = t_min, sys.maxsize
+        if rise > 0.0:
+            t_lo = max(t_lo, rise / (fall + slope))
+            if fall > slope:
+                t_hi = min(rise / (fall - slope), sys.maxsize)
+        elif fall < slope:
+            t_lo = max(t_lo, -rise / (slope - fall))
+        else:
+            t_lo = sys.maxsize
+        first, last = max(math.ceil(min(t_lo, sys.maxsize) + 0.5), 2), math.floor(t_hi - 0.5)
+        if runs and min(last, g.mean + far) - max(first, g.mean - far) < _GL_MIN_RUN:
+            break
+        # rounding can leave an end a window off: settle it on the conditions
+        if not fits(first, slope, t_min):
+            first += 1
+        elif fits(first - 1, slope, t_min):
+            first -= 1
+        if t_hi < sys.maxsize:
+            if not fits(last, slope, t_min):
+                last -= 1
+            elif fits(last + 1, slope, t_min):
+                last += 1
+        runs.append((first, last, rule))
+    return runs
 
 
 def _log_peak(g: GammaApprox) -> float:
@@ -376,7 +374,7 @@ def _gl_window_masses(
     """Gauss-Legendre masses of the windows k = first, first + 1, ...
 
     Fills ``out``, one window per entry (first >= 1), with each mass times
-    e^(-shift), by ``rule``, ``_GL10`` or ``_GL6``.
+    e^(-shift), by ``rule``, ``_GL10``, ``_GL6``, ``_GL4`` or ``_GL3``.
 
     For shape > ``_GL_CENTRED_SHAPE`` the log-density is taken about its
     mode c = (shape-1) scale, as log f(c) + (shape-1) (log1p(u) - u) with
@@ -387,13 +385,11 @@ def _gl_window_masses(
     The masses are evaluated with numpy in blocks of up to ``_GL_BLOCK``
     windows, laid out node-major, one row per node, in one workspace that
     every block of the call reuses: every step is one in-place pass.  The
-    rows are added in numpy's pairwise order over a row of 10 (the 6-point
-    rule's as if 4 more rows of weight 0 followed), so a window's mass
+    rows are added in numpy's pairwise order over a row of 10 (a rule of
+    fewer nodes as if rows of weight 0 followed), so a window's mass
     equals, bit for bit, the row sum of a (windows, 10) layout and does not
     depend on its block.
     """
-    if not len(out):
-        return
     nodes, weights = rule
     rise = g.shape - 1.0
     centred = g.shape > _GL_CENTRED_SHAPE
@@ -440,12 +436,14 @@ def _gl_window_masses(
             f[0:8:4] += f[2:8:4]
             f[0] += f[4]
             f[0] += f[8]
-            np.add(f[0], f[9], out=window)
+            row = f[9]
         else:
-            # ((f0+f1)+(f2+f3)) + (f4+f5)
-            f[0:6:2] += f[1:6:2]
-            f[0] += f[2]
-            np.add(f[0], f[4], out=window)
+            # ((f0+f1)+(f2+f3)) + (f4+f5), (f0+f1) + (f2+f3) or (f0+f1) + f2
+            f[0 : len(f) - 1 : 2] += f[1::2]
+            if len(f) == 6:
+                f[0] += f[2]
+            row = f[4 if len(f) == 6 else 2]
+        np.add(f[0], row, out=window)
 
 
 def _check_epsilon(epsilon: float) -> None:

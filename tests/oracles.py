@@ -106,7 +106,7 @@ def rowmajor_window_masses(
     ``discretize_gamma`` replaced with its node-major kernel, on the same
     log-density (about the mode for large shapes, with log(t/c) for log1p(u)
     far left of it): each block is a (windows, 10) array of node slots, a
-    6-point rule's last four slots of weight 0, reduced by a numpy row sum.
+    rule of fewer nodes' last slots of weight 0, reduced by a numpy row sum.
     A row holds one window, so its value does not depend on the block it
     falls in.
     """

@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 import gpgamma.approximation as approximation_mod
 
 from gpgamma.approximation import (
+    _GL3,
+    _GL4,
     _GL6,
-    _GL6_NODES,
-    _GL6_WEIGHTS,
     _GL10,
     _GL_BLOCK,
-    _GL_NODES,
-    _GL_WEIGHTS,
     KINDS,
     GammaApprox,
-    _gl6_run,
     _gl_window_masses,
+    _window_masses,
     build_gamma,
     discretize_gamma,
     inequality_check,
@@ -34,6 +32,21 @@ from oracles import mpmath_window_mass, mpmath_window_pmf, rowmajor_window_masse
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)  # rate 0.71
 TINY_RATE = (0.0, 0.01 / 0.998, 2.0 * math.log(0.998))  # rate 0.01, w = 1.2
+
+
+def _nodes_per_window(g, k_min, k_max):
+    """Each window's Gauss-Legendre node count, 0 for an incomplete-gamma difference."""
+    nodes = [0] * (k_max - k_min + 1)
+
+    def record(g, first, out, shift, rule):
+        nodes[first - k_min : first - k_min + len(out)] = [len(rule[0])] * len(out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approximation_mod, "_gl_window_masses", record)
+        for name in ("reg_lower_inc_gamma", "reg_upper_inc_gamma"):
+            mp.setattr(approximation_mod, name, lambda *args, **kwargs: 0.0)
+        _window_masses(g, k_min, k_max, 0.0)
+    return nodes
 
 
 class TestTheorem1Gamma:
@@ -308,22 +321,23 @@ class TestWindowMassAccuracy:
         sub=st.integers(min_value=0, max_value=5000),
     )
     @settings(max_examples=200, deadline=None)
-    # the 6-point run of 87855 .. 88061 ends at k = 87861, whose slope lies
-    # within 1e-10 of the largest the bound admits right of the mode
+    # 1494 sd right of the mode, where a 6-point run once ended at k = 87861
     @example(shape=2845.329, scale=1.064435465622866, where=1494.0, length=207, start=0, sub=6)
-    def test_6_point_rule_choice_depends_on_the_window_alone(
+    # the theorem1 gamma of rate 0.01, x = 10: the subrange 97 .. 697 crosses
+    # the first windows of its 4- and 3-point runs, 101 and 646
+    @example(shape=11.0, scale=100.0, where=-2.75, length=700, start=10, sub=600)
+    def test_rule_choice_depends_on_the_window_alone(
         self, shape, scale, where, length, start, sub
     ):
-        # the run chosen for a subrange is the run of the whole range, cut to it
+        # the runs chosen for a subrange are the runs of the whole range, cut to it
         g = GammaApprox(shape=shape, scale=scale, kind="test")
         mode = max((g.shape - 1.0) * g.scale, 0.0)
-        lo = max(int(mode + where * math.sqrt(g.shape) * g.scale), 2)
+        lo = max(int(mode + where * math.sqrt(g.shape) * g.scale), 0)
         hi = lo + length - 1
         a = lo + min(start, length - 1)
         b = min(a + sub, hi)
-        first, last = _gl6_run(g, lo, hi)
-        first, last = max(first, a), min(last, b)
-        assert _gl6_run(g, a, b) == ((first, last) if first <= last else (b + 1, b))
+        whole = _nodes_per_window(g, lo, hi)
+        assert _nodes_per_window(g, a, b) == whole[a - lo : b - lo + 1]
 
     @pytest.mark.parametrize("block", [_GL_BLOCK, 1, 7, 64])
     @given(
@@ -336,32 +350,66 @@ class TestWindowMassAccuracy:
     def test_node_major_kernel_equals_the_row_major_loop(
         self, block, k_min, length, shape, scale
     ):
+        from numpy.polynomial.legendre import leggauss
+
         # every window, steep ones included (discretize_gamma sends those to
-        # incomplete-gamma differences; see test_steep_windows), by either rule
+        # incomplete-gamma differences; see test_steep_windows), by every rule
         g = GammaApprox(shape=shape, scale=scale, kind="test")
         k_max = k_min + min(length, 3 * block + 50) - 1  # crosses block edges
         first = max(k_min, 2)
-        tables = [(_GL10, (_GL_NODES, _GL_WEIGHTS)), (_GL6, (_GL6_NODES, _GL6_WEIGHTS))]
-        for rule, table in tables:
+        for rule in (_GL10, _GL6, _GL4, _GL3):
+            table = leggauss(len(rule[0]))
             masses = np.empty(max(k_max - first + 1, 0))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(approximation_mod, "_GL_BLOCK", block)
                 _gl_window_masses(g, first, masses, 0.0, rule)
             np.testing.assert_array_equal(masses, rowmajor_window_masses(g, k_min, k_max, table))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_narrow_gamma_takes_one_kernel_pass(self, kind):
+        # rate 0.105, x = 10: 14 sd of the gamma span ~440 windows, under
+        # the gate, so every calm window takes the 10-point rule in one pass
+        table = exact_posterior(derive_params(*SMALL_RATE), 10)
+        posterior_moments(table)
+        g = build_gamma(kind, table)
+        passes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(approximation_mod, "_gl_window_masses", lambda *args: passes.append(args))
+            _window_masses(g, table.k_min, table.k_max, 0.0)
+        assert len(passes) == 1
+        assert len(passes[0][4][0]) == 10
+
     def test_nodes_and_weights_are_the_10_point_rule(self):
         from numpy.polynomial.legendre import leggauss
 
+        # offsets from the centre of a window of width 1: half of [-1, 1]'s
         nodes, weights = leggauss(10)
-        np.testing.assert_array_equal(_GL_NODES, nodes)
-        np.testing.assert_array_equal(_GL_WEIGHTS, weights)
+        np.testing.assert_array_equal(2.0 * _GL10[0].ravel(), nodes)
+        np.testing.assert_array_equal(2.0 * _GL10[1].ravel(), weights)
 
     def test_nodes_and_weights_are_the_6_point_rule(self):
         from numpy.polynomial.legendre import leggauss
 
+        # offsets from the centre of a window of width 1: half of [-1, 1]'s
         nodes, weights = leggauss(6)
-        np.testing.assert_array_equal(_GL6_NODES, nodes)
-        np.testing.assert_array_equal(_GL6_WEIGHTS, weights)
+        np.testing.assert_array_equal(2.0 * _GL6[0].ravel(), nodes)
+        np.testing.assert_array_equal(2.0 * _GL6[1].ravel(), weights)
+
+    def test_nodes_and_weights_are_the_4_point_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        # offsets from the centre of a window of width 1: half of [-1, 1]'s
+        nodes, weights = leggauss(4)
+        np.testing.assert_array_equal(2.0 * _GL4[0].ravel(), nodes)
+        np.testing.assert_array_equal(2.0 * _GL4[1].ravel(), weights)
+
+    def test_nodes_and_weights_are_the_3_point_rule(self):
+        from numpy.polynomial.legendre import leggauss
+
+        # offsets from the centre of a window of width 1: half of [-1, 1]'s
+        nodes, weights = leggauss(3)
+        np.testing.assert_array_equal(2.0 * _GL3[0].ravel(), nodes)
+        np.testing.assert_array_equal(2.0 * _GL3[1].ravel(), weights)
 
     @given(
         log_shape=st.floats(min_value=math.log(0.05), max_value=math.log(3000.0)),

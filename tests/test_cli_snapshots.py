@@ -19,7 +19,9 @@ oracle, every field of the x = 100 sweep rows against mpmath), or a change
 of quadrature rule whose moved fields are checked the same way (the
 6-point rule and the log-density taken about the mode: sweep index 2's
 moment-matched ``kl``, 8.00950713225e-06 -> 8.00950713239e-06, whose value
-from mpmath window masses is 8.00950713233e-06), rewrites the fixtures,
+from mpmath window masses is 8.00950713233e-06; the 3- and 4-point rules:
+the same field, 8.00950713239e-06 -> 8.00950713231e-06, in ``sweep.csv``
+and ``sweep.json``), rewrites the fixtures,
 with
 
     PYTHONPATH=src python3 tests/test_cli_snapshots.py
