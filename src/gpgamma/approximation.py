@@ -34,11 +34,11 @@ __all__ = [
 
 KINDS = ("theorem1", "moment_matched")
 
-# Gauss-Legendre rules of 10, 6, 4 and 3 nodes for a window of width 1: each
+# Gauss-Legendre rules of 10 and 3 nodes for a window of width 1: each
 # node's offset from the window's centre and its weight, as (nodes, 1)
 # columns.  They are half of numpy.polynomial.legendre.leggauss(n), spelled
 # out so that importing this module does not load numpy.polynomial.
-_GL10, _GL6, _GL4, _GL3 = (
+_GL10, _GL3 = (
     (0.5 * np.array(nodes)[:, None], 0.5 * np.array(weights)[:, None])
     for nodes, weights in (
         ([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
@@ -47,18 +47,12 @@ _GL10, _GL6, _GL4, _GL3 = (
          [0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
           0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
           0.1494513491505804, 0.06667134430868814]),
-        ([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
-          0.2386191860831969, 0.6612093864662645, 0.9324695142031519],
-         [0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
-          0.46791393457269104, 0.3607615730481387, 0.17132449237917027]),
-        ([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526],
-         [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]),
         ([-0.7745966692414834, 0.0, 0.7745966692414834],
          [0.5555555555555557, 0.8888888888888888, 0.5555555555555557]),
     )
 )
 # Windows per numpy block.  A kernel call allocates one workspace, two
-# (nodes, block) arrays: 640 kB for the 10-point rule, 384 kB for the 6-point.
+# (nodes, block) arrays: 640 kB for the 10-point rule, 192 kB for the 3-point.
 _GL_BLOCK = 4096
 # Steepest log-density slope |(shape-1)/t - 1/scale| the 10-point rule takes
 # at a window edge.  Against mpmath, over shapes 1.5-1001 and scales
@@ -71,17 +65,15 @@ _GL_MAX_SLOPE = 8.0
 # k = 2, whose edge slopes stay under 5.2.  Cauchy's estimate of the rule's
 # remainder for a Gaussian puts the limit at 5.66 for 1e-13.
 _GL_MAX_CURVE = 5.66
-# Each rule with the corner (S, V, r) of the windows it may take, fewest
-# nodes last (see _rule_runs).  The 10-point rule's is its calm run, where
+# The 10- and 3-point rules, each with the corner (S, V, r) of the windows
+# it may take (see _rule_runs).  The 10-point rule's is its calm run, where
 # curve / t^2 <= _GL_MAX_CURVE / 2 for shape >= 1 (for shape < 1 no window
-# k >= 2 comes near it).  Each corner lies inside the one before, so the
-# runs nest, and keeps the estimate (1 + S) e^(S r + V r^2) / r^(2n) under
+# k >= 2 comes near it).  The 3-point corner lies inside it, so the runs
+# nest, and keeps the estimate (1 + S) e^(S r + V r^2) / r^(2n) under
 # 1e-15 (2n + 1) binomial(2n, n)^2 = 1e-15 / (c_n (2n)!), c_n the remainder
 # constant of a window of width 1 (Abramowitz & Stegun 25.4.30).
 _GL_RULES = (
     (_GL10, _GL_MAX_SLOPE, _GL_MAX_CURVE / 2.0, 0.0),
-    (_GL6, 0.3, 7.5e-3, 42.0),
-    (_GL4, 0.12, 5e-4, 42.0),
     (_GL3, 0.023, 1.2e-5, 200.0),
 )
 assert all(
@@ -90,7 +82,7 @@ assert all(
     <= 1e-15 * (2 * len(nodes) + 1) * math.comb(2 * len(nodes), len(nodes)) ** 2
     for (_, s0, v0, r0), ((nodes, _), s, v, r) in zip(_GL_RULES, _GL_RULES[1:])
 )
-# Fewest windows within 7 sd of the mean a fewer-node rule's run must hold,
+# Fewest windows within 7 sd of the mean the 3-point rule's run must hold,
 # about the fixed cost of one kernel pass: a narrow gamma's keep one pass.
 _GL_MIN_RUN = 512
 # Shapes above this take the log-density about the mode in the rules.  At
@@ -190,12 +182,12 @@ def discretize_gamma(
     Every window k >= 2 whose log-density slope |(shape-1)/t - 1/scale| at
     both edges is at most ``_GL_MAX_SLOPE``, and whose curvature
     |shape-1|/t^2 at the left edge is at most ``_GL_MAX_CURVE``, goes to a
-    Gauss-Legendre rule (``_gl_window_masses``) of 10, 6, 4 or 3 nodes: to
-    the fewest nodes whose remainder bound stays under 1e-15 of the
-    window's mass.  Each rule's windows form one run, found in closed form
-    (``_rule_runs``).  A rule of fewer than 10 nodes is used only where its
-    run holds at least ``_GL_MIN_RUN`` windows within 7 sd of the gamma's
-    mean, so a narrow gamma's windows take the 10-node rule in one pass.
+    Gauss-Legendre rule (``_gl_window_masses``) of 10 nodes, or of 3 where
+    the 3-point remainder bound stays under 1e-15 of the window's mass.
+    Each rule's windows form one run, found in closed form
+    (``_rule_runs``).  The 3-point rule is used only where its run holds at
+    least ``_GL_MIN_RUN`` windows within 7 sd of the gamma's mean, so a
+    narrow gamma's windows take the 10-node rule in one pass.
     No rule window
     differences two CDF values, so far upper-tail windows keep their
     relative accuracy (~1e-13 against mpmath) until their mass underflows
@@ -254,7 +246,7 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
     """Masses of the windows k = k_min .. k_max times e^(-shift).
 
     Each Gauss-Legendre rule in use takes its run from ``_rule_runs``, found
-    in closed form and gated on the gamma alone, less the next run inside
+    in closed form and gated on the gamma alone, less the 3-point run inside
     it, in one kernel pass per piece; the windows outside the 10-point
     rule's calm run take incomplete-gamma differences.
     """
@@ -281,14 +273,14 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
 def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndarray]]]:
     """The run of windows each Gauss-Legendre rule takes, as (first, last, rule).
 
-    The 10-point rule's calm run comes first, then each fewer-node rule's in
-    use, each inside the one before; a run without end stops near
-    sys.maxsize.  The rule with the corner (S, V, r) of ``_GL_RULES`` takes
-    the windows k >= 2 whose log-density |slope| = |(shape-1)/t - 1/scale|
-    is at most S at both edges t = k -+ 1/2, with v = curve / (k - 1/2)^2
-    at most V and k - 1/2 >= r / rho.  For n < 10 nodes that bounds the
-    remainder c_n f^(2n)(xi), xi in the window: the window's mass is at
-    least f(xi) / (1 + A), A the larger edge |slope|, and
+    The 10-point rule's calm run comes first, then the 3-point rule's if in
+    use, inside it; a run without end stops near sys.maxsize.  The rule
+    with the corner (S, V, r) of ``_GL_RULES`` takes the windows k >= 2
+    whose log-density |slope| = |(shape-1)/t - 1/scale| is at most S at
+    both edges t = k -+ 1/2, with v = curve / (k - 1/2)^2 at most V and
+    k - 1/2 >= r / rho.  For n = 3 nodes that bounds the remainder
+    c_n f^(2n)(xi), xi in the window: the window's mass is at least
+    f(xi) / (1 + A), A the larger edge |slope|, and
     f^(2n)(xi) / ((2n)! f(xi)) is the h^2n coefficient of
 
         f(xi + h) / f(xi) = e^(slope h) (1 + u)^(s-1) e^(-(s-1) u),   u = h/xi,
@@ -300,10 +292,10 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
     v, so the corner's estimate bounds every window the rule takes.
 
     Each condition holds on an interval of k, so each run's ends follow in
-    closed form, each settled on the conditions at its boundary window.  A
-    fewer-node rule whose run holds fewer than ``_GL_MIN_RUN`` windows
-    within 7 sd of the mean is not used, nor any rule inside it.  The runs
-    depend on the gamma alone, never on the range asked for.
+    closed form, each settled on the conditions at its boundary window.
+    The 3-point rule is not used if its run holds fewer than
+    ``_GL_MIN_RUN`` windows within 7 sd of the mean.  The runs depend on
+    the gamma alone, never on the range asked for.
     """
     rise, fall = g.shape - 1.0, 1.0 / g.scale
     if rise >= 0.0:
@@ -374,7 +366,7 @@ def _gl_window_masses(
     """Gauss-Legendre masses of the windows k = first, first + 1, ...
 
     Fills ``out``, one window per entry (first >= 1), with each mass times
-    e^(-shift), by ``rule``, ``_GL10``, ``_GL6``, ``_GL4`` or ``_GL3``.
+    e^(-shift), by ``rule``, ``_GL10`` or ``_GL3``.
 
     For shape > ``_GL_CENTRED_SHAPE`` the log-density is taken about its
     mode c = (shape-1) scale, as log f(c) + (shape-1) (log1p(u) - u) with
@@ -385,8 +377,8 @@ def _gl_window_masses(
     The masses are evaluated with numpy in blocks of up to ``_GL_BLOCK``
     windows, laid out node-major, one row per node, in one workspace that
     every block of the call reuses: every step is one in-place pass.  The
-    rows are added in numpy's pairwise order over a row of 10 (a rule of
-    fewer nodes as if rows of weight 0 followed), so a window's mass
+    rows are added in numpy's pairwise order over a row of 10 (the 3-point
+    rule as if rows of weight 0 followed), so a window's mass
     equals, bit for bit, the row sum of a (windows, 10) layout and does not
     depend on its block.
     """
@@ -437,12 +429,9 @@ def _gl_window_masses(
             f[0] += f[4]
             f[0] += f[8]
             row = f[9]
-        else:
-            # ((f0+f1)+(f2+f3)) + (f4+f5), (f0+f1) + (f2+f3) or (f0+f1) + f2
-            f[0 : len(f) - 1 : 2] += f[1::2]
-            if len(f) == 6:
-                f[0] += f[2]
-            row = f[4 if len(f) == 6 else 2]
+        else:  # (f0+f1) + f2
+            f[0] += f[1]
+            row = f[2]
         np.add(f[0], row, out=window)
 
 

@@ -25,6 +25,7 @@ from .approximation import (
 from .errors import DomainError, NumericError, PrecisionError
 from .model import ModelParams, derive_params
 from .posterior import (
+    _MOMENT_TAIL_CAP,
     PosteriorTable,
     _check_eps_tail,
     denominator_lerch,
@@ -221,9 +222,12 @@ def sweep(
     recorded in the result stream instead of aborting the sweep; a point
     whose table or gammas cannot be built gets one entry with kind None,
     before any window is evaluated.  A bad ``eps_tail`` or ``epsilon_ineq``
-    raises ``DomainError`` before any point is run.
+    raises ``DomainError`` before any point is run, as does an ``eps_tail``
+    above 1e-6, since every report takes the posterior moments.
     """
     _check_eps_tail(eps_tail)
+    if eps_tail > _MOMENT_TAIL_CAP:
+        raise DomainError(f"sweep needs eps_tail <= {_MOMENT_TAIL_CAP:.0e}, got {eps_tail!r}")
     _check_epsilon(epsilon_ineq)
     results: list[SweepResult] = []
     for index, (a, b, c, x) in enumerate(grid):

@@ -80,6 +80,25 @@ def mpmath_window_mass(shape: float, scale: float, k: int) -> float:
         return float(mpmath.gammainc(mpmath.mpf(shape), lo, hi, regularized=True))
 
 
+def mpmath_gl3_window_mass(shape: float, scale: float, k: int) -> float:
+    """The 3-point Gauss-Legendre rule over the window [k - 1/2, k + 1/2].
+
+    Exact nodes k and k -+ sqrt(3/5)/2, weights 4/9 and 5/18, and the gamma
+    density, all at 50 digits: what is left is the rule's own remainder.
+    """
+    with mpmath.workdps(50):
+        u, s = mpmath.mpf(shape), mpmath.mpf(scale)
+        h = mpmath.sqrt(mpmath.mpf(3) / 5) / 2
+
+        log_norm = mpmath.loggamma(u) + u * mpmath.log(s)
+
+        def density(t):
+            return mpmath.exp((u - 1) * mpmath.log(t) - t / s - log_norm)
+
+        total = 8 * density(mpmath.mpf(k)) + 5 * (density(k - h) + density(k + h))
+        return float(total / 18)
+
+
 def mpmath_window_pmf(shape: float, scale: float, k_min: int, k_max: int) -> np.ndarray:
     """Gamma(shape, scale) window masses over k_min .. k_max, renormalized there.
 

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from gpgamma.approximation import _GL6, _GL_BLOCK, KINDS, build_gamma, discretize_gamma
+from gpgamma.approximation import _GL3, _GL_BLOCK, KINDS, build_gamma, discretize_gamma
 from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments, window_moments
 from gpgamma.validation import compare
@@ -63,11 +63,10 @@ def test_window_moments_hold_one_buffer(table):
 def test_discretize_gamma_peak(table, kind):
     posterior_moments(table)
     g = build_gamma(kind, table)
-    # the windows take 3 to 10 nodes, one kernel call per run, each call with
-    # one (2, nodes, min(block, run)) workspace freed before the next; none
-    # is larger than the 6-point rule's at a full block.  Beside the result,
+    # every window of this table takes the 3-point rule, in one kernel call
+    # with one (2, 3, min(block, run)) workspace.  Beside the result,
     # renormalized in place
-    workspace = 2 * len(_GL6[0]) * _GL_BLOCK * 8
+    workspace = 2 * len(_GL3[0]) * _GL_BLOCK * 8
     _, peak = _peak(lambda: discretize_gamma(g, table.k_min, table.k_max, renormalize=True))
     assert peak <= 1.5 * _arrays(table) + workspace
 

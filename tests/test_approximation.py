@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ import gpgamma.approximation as approximation_mod
 
 from gpgamma.approximation import (
     _GL3,
-    _GL4,
-    _GL6,
     _GL10,
     _GL_BLOCK,
     KINDS,
     GammaApprox,
     _gl_window_masses,
+    _rule_runs,
     _window_masses,
     build_gamma,
     discretize_gamma,
@@ -27,7 +27,12 @@ from gpgamma.errors import DomainError, PrecisionError
 from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments
 
-from oracles import mpmath_window_mass, mpmath_window_pmf, rowmajor_window_masses
+from oracles import (
+    mpmath_gl3_window_mass,
+    mpmath_window_mass,
+    mpmath_window_pmf,
+    rowmajor_window_masses,
+)
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)  # rate 0.71
@@ -324,7 +329,7 @@ class TestWindowMassAccuracy:
     # 1494 sd right of the mode, where a 6-point run once ended at k = 87861
     @example(shape=2845.329, scale=1.064435465622866, where=1494.0, length=207, start=0, sub=6)
     # the theorem1 gamma of rate 0.01, x = 10: the subrange 97 .. 697 crosses
-    # the first windows of its 4- and 3-point runs, 101 and 646
+    # the first window of its 3-point run, 646
     @example(shape=11.0, scale=100.0, where=-2.75, length=700, start=10, sub=600)
     def test_rule_choice_depends_on_the_window_alone(
         self, shape, scale, where, length, start, sub
@@ -357,7 +362,7 @@ class TestWindowMassAccuracy:
         g = GammaApprox(shape=shape, scale=scale, kind="test")
         k_max = k_min + min(length, 3 * block + 50) - 1  # crosses block edges
         first = max(k_min, 2)
-        for rule in (_GL10, _GL6, _GL4, _GL3):
+        for rule in (_GL10, _GL3):
             table = leggauss(len(rule[0]))
             masses = np.empty(max(k_max - first + 1, 0))
             with pytest.MonkeyPatch.context() as mp:
@@ -379,37 +384,40 @@ class TestWindowMassAccuracy:
         assert len(passes) == 1
         assert len(passes[0][4][0]) == 10
 
-    def test_nodes_and_weights_are_the_10_point_rule(self):
+    @pytest.mark.parametrize("rule", [_GL10, _GL3], ids=["10", "3"])
+    def test_nodes_and_weights_are_the_leggauss_rule(self, rule):
         from numpy.polynomial.legendre import leggauss
 
         # offsets from the centre of a window of width 1: half of [-1, 1]'s
-        nodes, weights = leggauss(10)
-        np.testing.assert_array_equal(2.0 * _GL10[0].ravel(), nodes)
-        np.testing.assert_array_equal(2.0 * _GL10[1].ravel(), weights)
+        nodes, weights = leggauss(len(rule[0]))
+        np.testing.assert_array_equal(2.0 * rule[0].ravel(), nodes)
+        np.testing.assert_array_equal(2.0 * rule[1].ravel(), weights)
 
-    def test_nodes_and_weights_are_the_6_point_rule(self):
-        from numpy.polynomial.legendre import leggauss
-
-        # offsets from the centre of a window of width 1: half of [-1, 1]'s
-        nodes, weights = leggauss(6)
-        np.testing.assert_array_equal(2.0 * _GL6[0].ravel(), nodes)
-        np.testing.assert_array_equal(2.0 * _GL6[1].ravel(), weights)
-
-    def test_nodes_and_weights_are_the_4_point_rule(self):
-        from numpy.polynomial.legendre import leggauss
-
-        # offsets from the centre of a window of width 1: half of [-1, 1]'s
-        nodes, weights = leggauss(4)
-        np.testing.assert_array_equal(2.0 * _GL4[0].ravel(), nodes)
-        np.testing.assert_array_equal(2.0 * _GL4[1].ravel(), weights)
-
-    def test_nodes_and_weights_are_the_3_point_rule(self):
-        from numpy.polynomial.legendre import leggauss
-
-        # offsets from the centre of a window of width 1: half of [-1, 1]'s
-        nodes, weights = leggauss(3)
-        np.testing.assert_array_equal(2.0 * _GL3[0].ravel(), nodes)
-        np.testing.assert_array_equal(2.0 * _GL3[1].ravel(), weights)
+    @given(
+        shape=st.one_of(
+            st.floats(min_value=math.log(0.05), max_value=math.log(3000.0)).map(math.exp),
+            st.integers(min_value=1, max_value=3000).map(float),
+        ),
+        log_scale=st.floats(min_value=math.log(0.05), max_value=math.log(1e4)),
+    )
+    @settings(max_examples=60, deadline=None)
+    # the theorem1 gamma of rate 0.01, x = 10: a 3-point run without end
+    @example(shape=11.0, log_scale=math.log(100.0))
+    # a 3-point run with both ends, 2032 .. 9580
+    @example(shape=100.0, log_scale=math.log(30.0))
+    def test_3_point_run_ends_keep_the_remainder_bound(self, shape, log_scale):
+        # the windows at either end of a 3-point run come nearest its corner,
+        # where the remainder estimate is largest: the rule, without
+        # roundoff, stays within 1e-15 of the window's mass
+        g = GammaApprox(shape=shape, scale=math.exp(log_scale), kind="test")
+        for first, last, rule in _rule_runs(g)[1:]:
+            assert len(rule[0]) == 3
+            ends = [first, first + 1] + ([last - 1, last] if last < sys.maxsize else [])
+            for k in ends:
+                true = mpmath_window_mass(g.shape, g.scale, k)
+                if true > 1e-300:
+                    rule_mass = mpmath_gl3_window_mass(g.shape, g.scale, k)
+                    assert rule_mass == pytest.approx(true, rel=1e-15, abs=0.0), k
 
     @given(
         log_shape=st.floats(min_value=math.log(0.05), max_value=math.log(3000.0)),

@@ -61,6 +61,7 @@ def test_bad_eps_tail_exits_one(eps, capsys):
         ("--epsilon-ineq", "nan"),
         ("--eps-tail", "0"),
         ("--eps-tail", "0.5"),
+        ("--eps-tail", "1e-4"),
     ],
 )
 def test_sweep_bad_tolerance_exits_one_with_empty_stdout(flag, value, tmp_path, capsys):
