@@ -442,13 +442,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console entry point: exit with ``main``'s status, 141 on a closed pipe."""
+    """Console entry point: flush, then ``os._exit`` with ``main``'s status (141: closed pipe)."""
     try:
         status = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader went away (``| head``): send the unflushed rest of
-        # stdout to devnull so the interpreter's final flush cannot raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 141  # 128 + SIGPIPE, as a shell reports a pipe-killed program
-    raise SystemExit(status)
+    sys.stderr.flush()
+    os._exit(status)  # skips the interpreter's teardown: no atexit handler runs

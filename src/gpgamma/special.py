@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, NumericError, UnsupportedOrderError
 
@@ -136,7 +135,9 @@ def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
 
 
 @functools.cache
-def _bernoulli_fractions() -> tuple[Fraction, ...]:
+def _bernoulli_fractions() -> tuple:
+    from fractions import Fraction  # imported here: it loads decimal, which nothing else needs
+
     # Defining recurrence b_n = -(1/(n+1)) sum_{j<n} C(n+1, j) b_j, run in
     # exact rational arithmetic: the alternating sum cancels catastrophically
     # in floating point (the odd-order zeros come out ~1e19 near order 60).

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli_snapshots import CASES, FIXTURES
 
 FIG_A = ["-a", "1.5", "-b", "0.1", "-c", "-0.05"]
 
@@ -209,10 +212,27 @@ class TestProcess:
         assert stderr == b""
         assert status == 141
 
+    @pytest.mark.parametrize("name", ["verify_all.csv", "verify_all.json", "refusal_bad_b.csv"])
+    def test_stdout_to_a_file_is_complete(self, name, tmp_path):
+        # A regular file is block-buffered (unless PYTHONUNBUFFERED is set),
+        # so output still buffered when the process ends would be missing.
+        argv, status = CASES[name]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        out = tmp_path / name
+        with out.open("wb") as f:
+            cmd = [sys.executable, "-m", "gpgamma", *argv]
+            cp = subprocess.run(cmd, stdout=f, stderr=subprocess.PIPE, text=True, env=env)
+        assert out.read_bytes() == (FIXTURES / name).read_bytes()
+        assert cp.returncode == status
+        errors = cp.stderr.splitlines()
+        assert len(errors) == (status != 0)
+        assert all(line.startswith("error: ") for line in errors)
+
     def test_importing_the_cli_loads_no_heavy_module(self):
         code = (
             "import sys, gpgamma.cli; "
-            "print(sorted(m for m in ('scipy', 'mpmath', 'numpy.polynomial') "
+            "print(sorted(m for m in "
+            "('scipy', 'mpmath', 'numpy.polynomial', 'fractions', 'decimal') "
             "if m in sys.modules))"
         )
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

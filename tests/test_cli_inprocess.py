@@ -1,8 +1,13 @@
 """In-process CLI checks for paths subprocess tests cannot reach cheaply."""
 
+import errno
+import io
+
 import pytest
 
 import gpgamma.cli as cli
+
+from test_cli_snapshots import CASES, FIXTURES
 
 
 def test_verify_failure_exits_one_after_emitting(monkeypatch, capsys):
@@ -96,3 +101,39 @@ def test_help_states_each_tolerance_flag_and_its_default(command, flag, capsys):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert TOLERANCE_HELP[flag] in " ".join(capsys.readouterr().out.split())
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def _run(monkeypatch, argv, stdout, on_exit):
+    """``cli.run`` on ``argv``, with ``os._exit`` replaced by ``on_exit``."""
+    stderr = io.StringIO()
+    monkeypatch.setattr(cli.os, "_exit", on_exit)
+    monkeypatch.setattr(cli.sys, "argv", ["gpgamma", *argv])
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    monkeypatch.setattr(cli.sys, "stderr", stderr)
+    cli.run()
+    return stderr.getvalue()
+
+
+def test_run_flushes_stdout_before_exiting(monkeypatch):
+    raw = io.BytesIO()
+    # a buffer larger than the output: nothing reaches raw until a flush
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 20), encoding="utf-8")
+    exits = []
+    argv, _ = CASES["posterior_x3.csv"]
+    stderr = _run(monkeypatch, argv, stdout, lambda status: exits.append((status, raw.getvalue())))
+    assert exits == [(0, (FIXTURES / "posterior_x3.csv").read_bytes())]
+    assert stderr == ""
+
+
+def test_run_exits_141_on_a_closed_pipe(monkeypatch):
+    exits = []
+    argv, _ = CASES["posterior_x3.csv"]
+    assert _run(monkeypatch, argv, _ClosedPipe(), exits.append) == ""
+    assert exits == [141]
