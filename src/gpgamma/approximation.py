@@ -124,7 +124,7 @@ class DiscretePmf:
     probs: np.ndarray
     renormalized: bool
     raw_total: float
-    kind: str | None = None
+    kind: str
 
 
 class InequalityResult(NamedTuple):

@@ -40,12 +40,7 @@ REFERENCE_SETS = ((1.5, 0.1, -0.05), (1.5, 0.5, -0.05))
 _LERCH_TOL = 1e-8
 _POWERSUM_TOL = 1e-9
 
-# A report's fields after the point (a, b, c, m, x), which outputs echo apart.
-_METRIC_COLUMNS = [
-    f.name
-    for f in dataclasses.fields(ComparisonReport)
-    if f.name not in ("a", "b", "c", "m", "x")
-]
+_METRIC_COLUMNS = [f.name for f in dataclasses.fields(ComparisonReport)]
 
 
 class GridFormatError(Exception):
@@ -442,9 +437,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console entry point: flush, then ``os._exit`` with ``main``'s status (141: closed pipe)."""
+    """Console entry point: flush, then ``os._exit`` with ``main``'s status (141: closed pipe).
+
+    argparse's exits, for ``--help`` (0) and usage errors (2), end the same way.
+    """
     try:
-        status = main()
+        try:
+            status = main()
+        except SystemExit as exc:
+            status = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
         status = 141  # 128 + SIGPIPE, as a shell reports a pipe-killed program

@@ -29,7 +29,6 @@ class ModelParams:
     Attributes:
         m: exp(a*b + c), the dispersion scale.
         sqrt_m: square root of m.
-        lambda2: 1 - sqrt(m).
         rate: b * sqrt(m), the exponential rate of the posterior weights.
         w: 1 + (1 - sqrt(m)) / rate; must be positive before posterior
             computations with x > 0.
@@ -40,7 +39,6 @@ class ModelParams:
     c: float
     m: float
     sqrt_m: float
-    lambda2: float
     rate: float
     w: float
 
@@ -69,7 +67,6 @@ def derive_params(a: float, b: float, c: float) -> ModelParams:
         c=float(c),
         m=m,
         sqrt_m=sqrt_m,
-        lambda2=1.0 - sqrt_m,
         rate=rate,
         w=1.0 + (1.0 - sqrt_m) / rate,
     )

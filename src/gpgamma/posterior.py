@@ -84,40 +84,43 @@ class PosteriorTable:
         return float(np.divide(self.probs, ks, out=ks).sum())
 
 
-def _outward_bounds(
-    lw: np.ndarray, state: tuple[float, float], log_share: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tail bounds along a run of log-weights that leads away from the mode.
+def _outward_cut(
+    run: np.ndarray, state: tuple[float, float], log_share: float
+) -> tuple[int, float, float]:
+    """First cut along a run of log-weights that leads away from the mode.
 
-    ``state`` holds the log of the running sum before ``lw[0]`` and the
-    log-weight before it.  Returns log(t_i rho_i / (1 - rho_i) / S_i) and
-    log S_i, where S_i is the running sum through ``lw[i]`` and
-    rho_i = t_i / t_(i-1) the term ratio there (the bound is +inf while
+    ``state`` holds the log of the running sum before ``run[0]`` and the
+    log-weight before it.  The tail bound at entry i is
+    log(t_i rho_i / (1 - rho_i) / S_i), where S_i is the running sum through
+    ``run[i]`` and rho_i = t_i / t_(i-1) the term ratio there (+inf while
     rho_i >= 1).  Along log-concave weights the ratio only falls further
-    out, so the geometric series bounds every term past ``lw[i]``.  Entries
-    before the first i where t_i rho_i / S_i < e^log_share (the last entry
-    if there is none) hold that smaller value instead: they fail the test
-    ``bound < log_share`` either way.
+    out, so the geometric series bounds every term past ``run[i]``.  Returns
+    the first j whose bound is under ``log_share``, with that bound and
+    log S_j, or -1 with the two values at the run's last entry.
     """
     log_before, prev = state
     # run entries lie at most ~log(mode) above the first (t_k / k rises
     # below the mode), so exp cannot overflow
-    top = max(log_before, float(lw[0]))
-    log_partial = lw - top  # one buffer for exp, the running sum and log
+    top = max(log_before, float(run[0]))
+    log_partial = run - top  # one buffer for exp, the running sum and log
     np.cumsum(np.exp(log_partial, out=log_partial), out=log_partial)
     np.log(np.add(log_partial, math.exp(log_before - top), out=log_partial), out=log_partial)
     log_partial += top
-    step = np.empty_like(lw)
-    step[0] = lw[0] - prev
-    np.subtract(lw[1:], lw[:-1], out=step[1:])
-    bound = lw + step
+    step = np.empty_like(run)
+    step[0] = run[0] - prev
+    np.subtract(run[1:], run[:-1], out=step[1:])
+    bound = run + step
     bound -= log_partial
+    # t_i rho_i / S_i is under the bound: no entry before the first i where it
+    # passes (the last if none does) can pass, so only i on take 1/(1 - rho_i)
     near = bound < log_share
-    i = int(near.argmax()) if near.any() else len(lw) - 1
+    i = int(near.argmax()) if near.any() else len(run) - 1
     tail = np.minimum(step[i:], 0.0, out=step[i:])
     with np.errstate(divide="ignore"):  # a step of 0 gives log(0) = -inf
         bound[i:] -= np.log(np.negative(np.expm1(tail, out=tail), out=tail), out=tail)
-    return bound, log_partial
+    cut = np.less(bound[i:], log_share, out=near[i:])
+    j = i + int(cut.argmax()) if cut.any() else -1
+    return j, float(bound[j]), float(log_partial[j])
 
 
 def _limit_error(evaluated: int, x: int, eps_tail: float, log_bound: float) -> NumericError:
@@ -143,7 +146,7 @@ def exact_posterior(
     rounded and clipped to k >= x (0 at x = 0), and grows outward on both
     sides.  For w > 0 the weights t_k are log-concave, so the term ratio at
     a side's edge bounds everything past it by a geometric series
-    (``_outward_bounds``).  Each side gets a share of ``eps_tail``: half of
+    (``_outward_cut``).  Each side gets a share of ``eps_tail``: half of
     it, or w eps_tail when x > 0 and w < 1/2, so that ``dropped_term_ratio``
     stays within ``eps_tail`` of the untruncated ratio (see below):
 
@@ -247,51 +250,47 @@ def exact_posterior(
         run = mass - log_k[i::-1]  # log(t_k / k)
         state, log_sum = (-math.inf, -math.inf), -math.inf
         while True:
-            bound, partial = _outward_bounds(run, state, log_share)
-            cut = bound < log_share
-            j = int(cut.argmax())
-            done = cut[j] or lo == x
-            kept = mass[: j + 1 if cut[j] else len(run)]
+            j, log_bound, log_partial = _outward_cut(run, state, log_share)
+            kept = mass[: j + 1] if j >= 0 else mass
             top = max(log_sum, float(kept[0]))  # t falls away from the mode
             log_sum = top + math.log(math.exp(log_sum - top) + float(np.exp(kept - top).sum()))
-            if done:
+            if j >= 0 or lo == x:
                 break
             if hi - lo >= _MAX_TERMS:
-                raise _limit_error(hi - lo, x, eps_tail, float(bound[-1]))
-            state = (float(partial[-1]), float(run[-1]))
+                raise _limit_error(hi - lo, x, eps_tail, log_bound)
+            state = (log_partial, float(run[-1]))
             first, stop = lo - 1, lo
             lo = max(x, lo - grow, hi - _MAX_TERMS)
             lw, log_k = evaluate(lo, stop)
             blocks.insert(0, lw)
             mass = lw[::-1]
             run = mass - log_k[::-1]
-        if cut[j] and first - j > x:
+        if j >= 0 and first - j > x:
             k_min = first - j
-            log_left = math.log(k_min - 1) + float(bound[j] + partial[j])
+            log_left = math.log(k_min - 1) + (log_bound + log_partial)
         del mass, kept  # views into the blocks
 
     # Right side, k = mode + 1, ..., relative to the whole table so far.
     run, first, state = right_of_mode, mode + 1, (log_sum, lw_mode)
-    achieved = math.inf  # the first block may end at the mode (a block of one)
+    log_bound = math.inf  # the first block may end at the mode (a block of one)
     while True:
         if run.size:
-            bound, partial = _outward_bounds(run, state, log_share)
-            j = int((bound < log_share).argmax())
-            if bound[j] < log_share:
+            j, log_bound, log_partial = _outward_cut(run, state, log_share)
+            if j >= 0:
                 break
-            state, achieved = (float(partial[-1]), float(run[-1])), float(bound[-1])
+            state = (log_partial, float(run[-1]))
         if hi - lo >= _MAX_TERMS:
-            raise _limit_error(hi - lo, x, eps_tail, achieved)
+            raise _limit_error(hi - lo, x, eps_tail, log_bound)
         first, start = hi, hi
         hi = min(hi + grow, lo + _MAX_TERMS)
         run = evaluate(start, hi)[0]
         blocks.append(run)
     k_max = first + j
-    log_right = float(bound[j] + partial[j])
+    log_right = log_bound + log_partial
 
     # k_min lies in the first block and k_max in the last: copy just k_min ..
     # k_max, with no other array alive, and drop the blocks before probs
-    del lw, log_k, right_of_mode, run, bound, partial
+    del lw, log_k, right_of_mode, run
     blocks[0] = blocks[0][k_min - lo :]
     blocks[-1] = blocks[-1][: len(blocks[-1]) - (hi - 1 - k_max)]
     lws = np.concatenate(blocks)

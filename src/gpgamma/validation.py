@@ -56,7 +56,9 @@ _REFERENCE_EPS_TAIL = 1e-16
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Distance metrics and moment diagnostics for one (params, x, kind).
+    """Distance metrics and moment diagnostics for one table and gamma kind.
+
+    A report carries metrics only; the caller holds the point (a, b, c, x).
 
     ``tv`` is half the L1 distance and ``kl`` the divergence from the exact
     posterior to the approximation, both over the common support window with
@@ -68,11 +70,6 @@ class ComparisonReport:
     the approximation's window mass before renormalization.
     """
 
-    a: float
-    b: float
-    c: float
-    m: float
-    x: int
     kind: str
     tv: float
     kl: float
@@ -143,16 +140,10 @@ def compare(
     del work
     mean_exact, var_exact = posterior_moments(exact)
     mean_approx, var_approx = window_moments(approx.k_min, q)
-    params = exact.params
     x = exact.x
-    holds = inequality_check(params, x, epsilon_ineq).holds if x >= 1 else True
+    holds = inequality_check(exact.params, x, epsilon_ineq).holds if x >= 1 else True
     return ComparisonReport(
-        a=params.a,
-        b=params.b,
-        c=params.c,
-        m=params.m,
-        x=x,
-        kind=approx.kind or "",
+        kind=approx.kind,
         tv=tv,
         kl=kl,
         sup_abs=sup_abs,

@@ -28,12 +28,14 @@ def golden_key(
     return (_g12(a), _g12(b), _g12(c), str(x), kind, metric)
 
 
-def golden_lines(reports: Iterable[ComparisonReport]) -> list[str]:
-    """Render the distance metrics of each report as golden-fixture lines."""
+def golden_lines(
+    a: float, b: float, c: float, x: int, reports: Iterable[ComparisonReport]
+) -> list[str]:
+    """Render the distance metrics of each report at point (a, b, c, x) as golden-fixture lines."""
     lines = []
     for rep in reports:
         for metric in _GOLDEN_METRICS:
-            key = golden_key(rep.a, rep.b, rep.c, rep.x, rep.kind, metric)
+            key = golden_key(a, b, c, x, rep.kind, metric)
             lines.append(",".join([*key, _g12(getattr(rep, metric))]))
     return lines
 

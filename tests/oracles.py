@@ -116,6 +116,28 @@ def mpmath_window_pmf(shape: float, scale: float, k_min: int, k_max: int) -> np.
         return np.array([float(m / total) for m in masses])
 
 
+def windowing_tv_constant(x: int) -> float:
+    """C_x = E|h(Y)| / 48, Y ~ Gamma(x+1, 1), h(y) = (x^2 - x)/y^2 - 2x/y + 1.
+
+    At m = 1 the posterior is the theorem1 gamma's density f at the
+    integers, and the window at k holds f(k) (1 + f''(k) / (24 f(k)) + ...)
+    with f''/f = rate^2 h(rate k), so theorem1's TV / rate^2 tends to C_x as
+    the rate falls.  The Gamma(x+1) density times y^-j is the Gamma(x+1-j)
+    density over x (x-1) .. (x+1-j), so over an interval E[h(Y)] is
+    P_(x-1) - 2 P_x + P_(x+1), P_s the interval's Gamma(s, 1) mass (a term
+    whose coefficient in h is 0 left out).  h < 0 exactly between its roots
+    x -+ sqrt(x); the masses are taken in mpmath at 30 digits.
+    """
+    terms = [(x + 1, 1), (x, -2), (x - 1, 1)][: min(x, 2) + 1]
+    with mpmath.workdps(30):
+
+        def part(u, v):
+            return mpmath.fsum(c * mpmath.gammainc(s, u, v, regularized=True) for s, c in terms)
+
+        lo, hi = x - mpmath.sqrt(x), x + mpmath.sqrt(x)
+        return float((part(0, lo) - part(lo, hi) + part(hi, mpmath.inf)) / 48)
+
+
 def rowmajor_window_masses(
     g: GammaApprox, k_min: int, k_max: int, rule: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
@@ -157,7 +179,7 @@ def rowmajor_window_masses(
 def direct_gp_pmf(params: ModelParams, k: int, x: int) -> float:
     """Plain (non-log) product evaluation of the count-model pmf."""
     lam1 = k * params.rate
-    base = lam1 + x * params.lambda2
+    base = lam1 + x * (1.0 - params.sqrt_m)
     return lam1 * base ** (x - 1) * math.exp(-base) / math.factorial(x)
 
 
@@ -166,7 +188,7 @@ def gp_log_pmf(params: ModelParams, k: int, x: int) -> float:
 
     ln P = ln lam1 + (x - 1) ln(lam1 + x lam2) - (lam1 + x lam2) - ln x!
 
-    with lam1 = k rate and lam2 = lambda2.  Under a flat prior on k it is
+    with lam1 = k rate and lam2 = 1 - sqrt(m).  Under a flat prior on k it is
     the posterior log-weight up to a constant in k, which makes it the
     oracle for the engine's ``log_weights``.  The degenerate level k = 0 is
     the lam1 -> 0 limit: a point mass at x = 0 (log-probability 0.0 there,
@@ -181,9 +203,9 @@ def gp_log_pmf(params: ModelParams, k: int, x: int) -> float:
     if k == 0:
         return 0.0 if x == 0 else -math.inf
     lam1 = k * params.rate
-    base = lam1 + x * params.lambda2
+    base = lam1 + x * (1.0 - params.sqrt_m)
     if base <= 0.0:
-        raise DomainError(f"pmf base lam1 + x*lambda2 = {base} is not positive at k={k}, x={x}")
+        raise DomainError(f"pmf base lam1 + x*lam2 = {base} is not positive at k={k}, x={x}")
     return math.log(lam1) + (x - 1) * math.log(base) - base - math.lgamma(x + 1.0)
 
 
@@ -195,7 +217,7 @@ def brute_posterior_weights(
     if x == 0:
         weights = np.exp(-params.rate * ks)
     else:
-        g = (params.lambda2 / params.rate) * x
+        g = ((1.0 - params.sqrt_m) / params.rate) * x
         weights = ks * (ks + g) ** (x - 1) * np.exp(-params.rate * ks)
     return ks, weights
 
@@ -290,7 +312,7 @@ def mpmath_denominator(params: ModelParams, x: int) -> float:
 
 def direct_denominator_sum(params: ModelParams, x: int) -> float:
     """Posterior normalizer for x >= 1 by straightforward summation."""
-    g = (params.lambda2 / params.rate) * x
+    g = ((1.0 - params.sqrt_m) / params.rate) * x
     total = 0.0
     j = x
     peak = (x + 1.0) / params.rate

@@ -11,6 +11,12 @@ from test_cli_snapshots import CASES, FIXTURES
 FIG_A = ["-a", "1.5", "-b", "0.1", "-c", "-0.05"]
 
 
+# A child with PYTHONUNBUFFERED set writes stdout unbuffered, so output left
+# in a buffer when the process ends, or a closed pipe met only on the final
+# flush, could not show.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "gpgamma", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
@@ -192,7 +198,9 @@ class TestProcess:
     def test_closed_pipe_exits_141_without_traceback(self):
         # ~0.5 MB of rows, far more than a pipe buffers
         cmd = [sys.executable, "-m", "gpgamma", "posterior", *FIG_A, "-x", "1000"]
-        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV
+        ) as proc:
             assert proc.stdout.readline() == b"# schema_version=1\n"
             proc.stdout.close()
             status = proc.wait(timeout=120)
@@ -204,7 +212,9 @@ class TestProcess:
         # ~0.4 MB of JSON rows, written a chunk of rows at a time
         argv = ["posterior", *FIG_A, "-x", "1000", "--format", "json"]
         cmd = [sys.executable, "-m", "gpgamma", *argv]
-        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV
+        ) as proc:
             assert proc.stdout.readline() == b"{\n"
             proc.stdout.close()
             status = proc.wait(timeout=120)
@@ -214,14 +224,13 @@ class TestProcess:
 
     @pytest.mark.parametrize("name", ["verify_all.csv", "verify_all.json", "refusal_bad_b.csv"])
     def test_stdout_to_a_file_is_complete(self, name, tmp_path):
-        # A regular file is block-buffered (unless PYTHONUNBUFFERED is set),
-        # so output still buffered when the process ends would be missing.
+        # A regular file is block-buffered, so output still buffered when the
+        # process ends would be missing.
         argv, status = CASES[name]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         out = tmp_path / name
         with out.open("wb") as f:
             cmd = [sys.executable, "-m", "gpgamma", *argv]
-            cp = subprocess.run(cmd, stdout=f, stderr=subprocess.PIPE, text=True, env=env)
+            cp = subprocess.run(cmd, stdout=f, stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV)
         assert out.read_bytes() == (FIXTURES / name).read_bytes()
         assert cp.returncode == status
         errors = cp.stderr.splitlines()

@@ -137,3 +137,54 @@ def test_run_exits_141_on_a_closed_pipe(monkeypatch):
     argv, _ = CASES["posterior_x3.csv"]
     assert _run(monkeypatch, argv, _ClosedPipe(), exits.append) == ""
     assert exits == [141]
+
+
+def test_run_flushes_help_and_exits_zero(monkeypatch):
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 20), encoding="utf-8")
+    exits = []
+
+    def on_exit(status):
+        exits.append((status, raw.getvalue()))
+
+    assert _run(monkeypatch, ["posterior", "--help"], stdout, on_exit) == ""
+    [(status, written)] = exits
+    assert status == 0
+    assert written.startswith(b"usage: gpgamma posterior")
+    assert b"--eps-tail" in written
+
+
+def test_run_exits_two_on_a_usage_error(monkeypatch):
+    stdout = io.StringIO()
+    exits = []
+    argv = ["posterior", "-a", "1.5", "-b", "0.1", "-c", "-0.05", "-x", "oops"]
+    stderr = _run(monkeypatch, argv, stdout, exits.append)
+    assert exits == [2]
+    assert stderr.startswith("usage: gpgamma posterior")
+    assert "invalid int value: 'oops'" in stderr
+    assert stdout.getvalue() == ""
+
+
+class _ClosingPipe(io.RawIOBase):
+    """A pipe whose reader goes away while ``broken`` holds."""
+
+    broken = True
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        if self.broken:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(b)
+
+
+def test_run_exits_141_when_the_help_flush_meets_a_closed_pipe(monkeypatch):
+    # argparse drops write errors, but the help text waits in the buffer
+    # until run flushes it
+    raw = _ClosingPipe()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=1 << 20), encoding="utf-8")
+    exits = []
+    assert _run(monkeypatch, ["posterior", "--help"], stdout, exits.append) == ""
+    assert exits == [141]
+    raw.broken = False  # lets the wrapper close quietly

@@ -24,7 +24,6 @@ class TestDeriveParams:
     def test_poisson_point(self):
         p = derive_params(0.0, 0.3, 0.0)
         assert p.m == 1.0
-        assert p.lambda2 == 0.0
         assert p.sqrt_m == 1.0
         assert p.w == 1.0
         assert p.rate == 0.3
@@ -33,7 +32,7 @@ class TestDeriveParams:
         p = derive_params(*SMALL_RATE)
         assert p.sqrt_m**2 == pytest.approx(p.m, rel=1e-15)
         assert p.rate == p.b * p.sqrt_m
-        assert p.w == pytest.approx(1.0 + p.lambda2 / p.rate, rel=1e-15)
+        assert p.w == pytest.approx(1.0 + (1.0 - p.sqrt_m) / p.rate, rel=1e-15)
 
     @pytest.mark.parametrize("b", [0.0, 1.0, 1.5, -0.1])
     def test_b_range(self, b):
@@ -99,7 +98,7 @@ class TestGpLogPmf:
         p = derive_params(*SMALL_RATE)
         k, x = 2100, 200
         lam1 = mpmath.mpf(k) * mpmath.mpf(p.rate)
-        lam2 = mpmath.mpf(p.lambda2)
+        lam2 = 1 - mpmath.mpf(p.sqrt_m)
         base = lam1 + x * lam2
         expected = float(
             mpmath.log(lam1) + (x - 1) * mpmath.log(base) - base - mpmath.loggamma(x + 1)
@@ -136,7 +135,7 @@ class TestModelMoments:
         p = derive_params(*abc)
         probs = []
         for x in range(int(k * p.b + 60.0 * math.sqrt(k * p.b / p.m + 1.0)) + 60):
-            if k * p.rate + x * p.lambda2 <= 0.0:
+            if k * p.rate + x * (1.0 - p.sqrt_m) <= 0.0:
                 break  # past the end of the support
             probs.append(math.exp(gp_log_pmf(p, k, x)))
         assert math.fsum(probs) == pytest.approx(1.0, rel=1e-12)

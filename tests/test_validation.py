@@ -30,7 +30,12 @@ from gpgamma.validation import (
 )
 
 from golden import golden_key, golden_lines, load_golden
-from oracles import edge_point, masked_kl_terms, mpmath_dropped_term_ratio
+from oracles import (
+    edge_point,
+    masked_kl_terms,
+    mpmath_dropped_term_ratio,
+    windowing_tv_constant,
+)
 
 SMALL_RATE = (1.5, 0.1, -0.05)
 LARGE_RATE = (1.5, 0.5, -0.05)
@@ -82,9 +87,6 @@ class TestCompare:
             moment_matched_gamma(mu, var), table.k_min, table.k_max, renormalize=True
         )
         rep = compare(table, disc)
-        assert (rep.a, rep.b, rep.c) == SMALL_RATE
-        assert rep.m == params.m
-        assert rep.x == 10
         assert rep.kind == "moment_matched"
         assert rep.mean_exact == pytest.approx(mu, rel=1e-14)
         assert 0.0 < rep.raw_total <= 1.0
@@ -110,7 +112,7 @@ class TestCompare:
         params = derive_params(*SMALL_RATE)
         table = exact_posterior(params, 4)
         raw = DiscretePmf(
-            k_min=4, probs=table.probs * 0.5, renormalized=False, raw_total=0.5, kind=None
+            k_min=4, probs=table.probs * 0.5, renormalized=False, raw_total=0.5, kind="theorem1"
         )
         with pytest.raises(ValueError, match="renormalized"):
             compare(table, raw)
@@ -381,7 +383,7 @@ class TestGoldenFixtures:
             moment_matched_gamma(mu, var), table.k_min, table.k_max, renormalize=True
         )
         rep = compare(table, disc)
-        lines = golden_lines([rep])
+        lines = golden_lines(*SMALL_RATE, 5, [rep])
         assert len(lines) == 3
         assert all(len(line.split(",")) == 7 for line in lines)
         path = tmp_path / "golden.txt"
@@ -411,3 +413,22 @@ class TestFullSupportTv:
         table = exact_posterior(params, 10)
         tv = full_support_tv(table, theorem1_gamma(params, 10))
         assert tv == pytest.approx(0.0579958, abs=1e-6)
+
+
+class TestWindowingRateAtPoissonPoint:
+    # At m = 1 the posterior is the theorem1 gamma's density at the
+    # integers, so all of theorem1's TV comes from the half-integer windows
+    # and TV / b^2 tends to C_x as b falls.  moment_matched shares the
+    # limit but sits 0.3% low at x = 1000, for a reason not yet known, so
+    # only theorem1 is held to it.
+    @pytest.mark.parametrize("x", [10, 100, 1000])
+    def test_theorem1_tv_over_b_squared_is_the_windowing_constant(self, x):
+        a, b = 1.5, 0.0125
+        params = derive_params(a, b, -a * b)
+        assert params.m == 1.0
+        table = exact_posterior(params, x, 1e-12)
+        disc = discretize_gamma(
+            theorem1_gamma(params, x), table.k_min, table.k_max, renormalize=True
+        )
+        ratio = compare(table, disc).tv / b**2
+        assert ratio == pytest.approx(windowing_tv_constant(x), rel=1e-4)
