@@ -9,11 +9,9 @@ small overlay excerpt around the posterior mode.
 import numpy as np
 
 from gpgamma import (
-    KINDS,
     build_gamma,
-    compare,
+    compare_kinds,
     derive_params,
-    discretize_gamma,
     exact_posterior,
     posterior_moments,
 )
@@ -34,14 +32,12 @@ for label, (a, b, c) in [
           f"tail bound {table.tail_bound:.2e}")
     print(f"posterior mean {mu:.4f}, variance {var:.4f}")
 
-    gammas = {kind: build_gamma(kind, table) for kind in KINDS}
     discs = {}
     print(f"{'kind':<16} {'shape':>10} {'scale':>10} {'tv':>10} {'kl':>10} {'sup':>10}")
-    for kind, g in gammas.items():
-        disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
-        discs[kind] = disc
-        rep = compare(table, disc)
-        print(f"{kind:<16} {g.shape:>10.4f} {g.scale:>10.4f} "
+    for disc, rep in compare_kinds(table):
+        discs[rep.kind] = disc
+        g = build_gamma(rep.kind, table)  # for its shape and scale
+        print(f"{rep.kind:<16} {g.shape:>10.4f} {g.scale:>10.4f} "
               f"{rep.tv:>10.6f} {rep.kl:>10.6f} {rep.sup_abs:>10.6f}")
 
     # overlay excerpt around the mode, plot-ready columns

@@ -36,6 +36,7 @@ from .validation import (
     ComparisonReport,
     SweepResult,
     compare,
+    compare_kinds,
     full_support_tv,
     sweep,
     verify_bernoulli_expansion,
@@ -59,6 +60,7 @@ __all__ = [
     "UnsupportedOrderError",
     "build_gamma",
     "compare",
+    "compare_kinds",
     "denominator_lerch",
     "derive_params",
     "discretize_gamma",

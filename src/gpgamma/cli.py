@@ -26,7 +26,7 @@ from .posterior import exact_posterior, posterior_moments
 from .special import bernoulli_numbers, bernoulli_polynomial, power_sum
 from .validation import (
     ComparisonReport,
-    compare,
+    compare_kinds,
     sweep,
     verify_bernoulli_expansion,
     verify_lerch_denominator,
@@ -190,7 +190,7 @@ def cmd_posterior(args: argparse.Namespace) -> int:
 def cmd_approx(args: argparse.Namespace) -> int:
     params = derive_params(args.a, args.b, args.c)
     table = exact_posterior(params, args.x, args.eps_tail)
-    g = build_gamma(args.kind, table)
+    g = build_gamma(args.kind.replace("-", "_"), table)
     disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=False)
     gamma = {"shape": g.shape, "scale": g.scale, "mean": g.mean, "variance": g.variance}
     rows = _Table(("k", "prob"), [table.support, disc.probs])
@@ -209,16 +209,11 @@ def cmd_approx(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     params = derive_params(args.a, args.b, args.c)
     table = exact_posterior(params, args.x, args.eps_tail)
-    discs = []
-    reports = []
-    # Both gammas first: a table too loose for moments is refused before
-    # any window, the costly layer, is evaluated.
-    for g in [build_gamma(kind, table) for kind in KINDS]:
-        disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
-        discs.append(disc.probs)
-        reports.append(compare(table, disc, args.epsilon_ineq))
+    discs, reports = zip(*compare_kinds(table, args.epsilon_ineq))
     metrics = _Table(_METRIC_COLUMNS, [[getattr(r, c) for r in reports] for c in _METRIC_COLUMNS])
-    overlay = _Table(("k", "exact", *KINDS), [table.support, table.probs, *discs])
+    overlay = _Table(
+        ("k", "exact", *KINDS), [table.support, table.probs, *(d.probs for d in discs)]
+    )
     doc, header = _model_echo(args, params.m)
     echo = {"eps_tail": args.eps_tail, "epsilon_ineq": args.epsilon_ineq}
     _emit(
@@ -424,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kind", None) == "moment-matched":
-        args.kind = "moment_matched"
     try:
         return args.func(args)
     except GridFormatError as exc:

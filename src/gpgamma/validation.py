@@ -44,6 +44,7 @@ __all__ = [
     "ComparisonReport",
     "SweepResult",
     "compare",
+    "compare_kinds",
     "full_support_tv",
     "sweep",
     "verify_bernoulli_expansion",
@@ -157,6 +158,19 @@ def compare(
     )
 
 
+def compare_kinds(
+    exact: PosteriorTable, epsilon_ineq: float = 0.01
+) -> list[tuple[DiscretePmf, ComparisonReport]]:
+    """Both gamma kinds, window-renormalized and compared, in ``KINDS`` order.
+
+    Both gammas are built first: a table too loose for moments raises
+    ``PrecisionError`` before any window, the costly layer, is evaluated.
+    """
+    gammas = [build_gamma(kind, exact) for kind in KINDS]
+    discs = [discretize_gamma(g, exact.k_min, exact.k_max, renormalize=True) for g in gammas]
+    return [(disc, compare(exact, disc, epsilon_ineq)) for disc in discs]
+
+
 def full_support_tv(exact: PosteriorTable, g: GammaApprox) -> float:
     """Total variation between the posterior and the discretized gamma on all k >= 0.
 
@@ -209,12 +223,12 @@ def sweep(
 ) -> list[SweepResult]:
     """Run both approximation kinds over (a, b, c, x) grid points.
 
-    Produces two entries per point in input order.  Per-point failures are
-    recorded in the result stream instead of aborting the sweep; a point
-    whose table or gammas cannot be built gets one entry with kind None,
-    before any window is evaluated.  A bad ``eps_tail`` or ``epsilon_ineq``
-    raises ``DomainError`` before any point is run, as does an ``eps_tail``
-    above 1e-6, since every report takes the posterior moments.
+    Produces two entries per point in input order, or one error entry: a
+    point whose table, gammas, windows or reports cannot be computed gets
+    one entry with kind and report None and the message in ``error``, and
+    the sweep goes on.  A bad ``eps_tail`` or ``epsilon_ineq`` raises
+    ``DomainError`` before any point is run, as does an ``eps_tail`` above
+    1e-6, since every report takes the posterior moments.
     """
     _check_eps_tail(eps_tail)
     if eps_tail > _MOMENT_TAIL_CAP:
@@ -224,21 +238,8 @@ def sweep(
     for index, (a, b, c, x) in enumerate(grid):
         try:
             table = exact_posterior(derive_params(a, b, c), x, eps_tail)
-            gammas = [build_gamma(kind, table) for kind in KINDS]
+            rows = [(rep.kind, rep, None) for _, rep in compare_kinds(table, epsilon_ineq)]
         except (DomainError, PrecisionError, NumericError) as exc:
-            results.append(
-                SweepResult(index, a, b, c, x, kind=None, report=None, error=str(exc))
-            )
-            continue
-        for g in gammas:
-            try:
-                disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
-                report = compare(table, disc, epsilon_ineq)
-                results.append(
-                    SweepResult(index, a, b, c, x, g.kind, report, error=None)
-                )
-            except (DomainError, PrecisionError, NumericError) as exc:
-                results.append(
-                    SweepResult(index, a, b, c, x, g.kind, report=None, error=str(exc))
-                )
+            rows = [(None, None, str(exc))]  # kind, report, error
+        results += [SweepResult(index, a, b, c, x, *row) for row in rows]
     return results

@@ -16,13 +16,14 @@ from gpgamma.approximation import (
     moment_matched_gamma,
     theorem1_gamma,
 )
-from gpgamma.errors import DomainError, NumericError, UnsupportedOrderError
+from gpgamma.errors import DomainError, NumericError, PrecisionError, UnsupportedOrderError
 from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
 from gpgamma.validation import (
     _KL_FLOOR,
     _dropped_term_ratio,
     compare,
+    compare_kinds,
     full_support_tv,
     sweep,
     verify_bernoulli_expansion,
@@ -157,11 +158,34 @@ class TestCompare:
 
 def _reports(table):
     """compare on both gamma kinds over the table's window."""
-    reports = []
-    for kind in KINDS:
-        g = build_gamma(kind, table)
-        reports.append(compare(table, discretize_gamma(g, table.k_min, table.k_max, True)))
-    return reports
+    return [rep for _, rep in compare_kinds(table)]
+
+
+class TestCompareKinds:
+    # the golden points, and one x = 0 point
+    @pytest.mark.parametrize(
+        "abc,x",
+        [(abc, x) for abc in (SMALL_RATE, LARGE_RATE) for x in (5, 10, 20)] + [(LARGE_RATE, 0)],
+    )
+    def test_equals_the_per_kind_loop(self, abc, x):
+        table = exact_posterior(derive_params(*abc), x)
+        pairs = compare_kinds(table, 0.05)
+        assert [rep.kind for _, rep in pairs] == list(KINDS)
+        for kind, (disc, rep) in zip(KINDS, pairs):
+            g = build_gamma(kind, table)
+            expected = discretize_gamma(g, table.k_min, table.k_max, renormalize=True)
+            for field in dataclasses.fields(disc):  # probs is an array, so field by field
+                assert np.array_equal(getattr(disc, field.name), getattr(expected, field.name))
+            assert rep == compare(table, expected, 0.05)
+
+    def test_loose_table_refused_before_any_window(self, monkeypatch):
+        def no_window(*args, **kwargs):
+            raise AssertionError("a window was evaluated before both gammas were built")
+
+        monkeypatch.setattr("gpgamma.validation.discretize_gamma", no_window)
+        table = exact_posterior(derive_params(*SMALL_RATE), 2, eps_tail=1e-4)
+        with pytest.raises(PrecisionError):
+            compare_kinds(table)
 
 
 def _assert_finite(rep):
@@ -314,6 +338,26 @@ class TestSweep:
         assert failed.report is None
         assert "b must lie" in failed.error
         assert results[3].index == 2 and results[3].report is not None
+
+    def test_window_failure_gives_one_error_row(self, monkeypatch):
+        failed = []
+
+        def fail_first_moment_matched(g, *args, **kwargs):
+            if g.kind == "moment_matched" and not failed:
+                failed.append(g)
+                raise NumericError("window mass lost")
+            return discretize_gamma(g, *args, **kwargs)
+
+        monkeypatch.setattr("gpgamma.validation.discretize_gamma", fail_first_moment_matched)
+        results = sweep([(*SMALL_RATE, 5), (*LARGE_RATE, 5)])
+        assert len(failed) == 1
+        assert [(r.index, r.kind) for r in results] == [
+            (0, None),
+            (1, "theorem1"),
+            (1, "moment_matched"),
+        ]
+        assert results[0].report is None and results[0].error == "window mass lost"
+        assert all(r.report is not None and r.error is None for r in results[1:])
 
 
 @pytest.fixture(scope="module")
