@@ -116,17 +116,6 @@ def _fmt(value: Any) -> str:
     return value if isinstance(value, str) else _cells([value], False)[0]
 
 
-def _round12(value: Any) -> Any:
-    """Round floats (recursively) to 12 significant digits for JSON output."""
-    if isinstance(value, float):
-        return float(_fmt(value))
-    if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    return value
-
-
 def _kv(pairs: Iterable[tuple[str, Any]]) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
@@ -140,9 +129,9 @@ def _emit(
     """Write a command's output to stdout in the format ``args.format`` names.
 
     JSON is ``doc`` after the schema version and command name, with each
-    table as a list of row objects.  CSV is a comment echoing the command
-    and ``header``, then ``parts`` in order: a string is a comment line, a
-    table its column line and rows.
+    table as a list of row objects and a flat dict of scalars as an object.
+    CSV is a comment echoing the command and ``header``, then ``parts`` in
+    order: a string is a comment line, a table its column line and rows.
     """
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **doc}
@@ -150,8 +139,11 @@ def _emit(
             sys.stdout.write(f"{',' if i else '{'}\n  {json.dumps(key)}: ")
             if isinstance(value, _Table):
                 _write_table(sys.stdout, value, json_out=True)
+            elif isinstance(value, dict):
+                fields = (f"    {json.dumps(k)}: {_cells([v], True)[0]}" for k, v in value.items())
+                sys.stdout.write("{\n%s\n  }" % ",\n".join(fields))
             else:
-                sys.stdout.write(json.dumps(_round12(value), indent=2).replace("\n", "\n  "))
+                sys.stdout.write(_cells([value], True)[0])
         sys.stdout.write("\n}\n")
         return
     sys.stdout.write(f"# schema_version={SCHEMA_VERSION}\n")
@@ -312,25 +304,19 @@ _SWEEP_COLUMNS = ["index", "a", "b", "c", "x", *_METRIC_COLUMNS, "error"]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid_file)
-    entries = []
-    for res in sweep(grid, args.eps_tail, args.epsilon_ineq):
-        # index, a, b, c, x, kind and error, in SweepResult's field order
-        entry = {
-            f.name: getattr(res, f.name)
-            for f in dataclasses.fields(res)
-            if f.name != "report"
-        }
-        if res.report is not None:
-            entry.update((col, getattr(res.report, col)) for col in _METRIC_COLUMNS)
-        entries.append(entry)
-    table = _Table(_SWEEP_COLUMNS, [[e.get(col) for e in entries] for col in _SWEEP_COLUMNS])
+    results = sweep(_parse_grid(args.grid_file), args.eps_tail, args.epsilon_ineq)
+    # the point, kind and error from each result, the metrics (None on an error row) from its report
+    values = [
+        [getattr(r if hasattr(r, col) else r.report, col, None) for r in results]
+        for col in _SWEEP_COLUMNS
+    ]
+    table = _Table(_SWEEP_COLUMNS, values)
     echo = {
         "grid_file": args.grid_file,
         "eps_tail": args.eps_tail,
         "epsilon_ineq": args.epsilon_ineq,
     }
-    _emit(args, {**echo, "results": entries}, echo, [table])
+    _emit(args, {**echo, "results": table}, echo, [table])
     return 0
 
 

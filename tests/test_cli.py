@@ -171,6 +171,14 @@ class TestSweepCommand:
         doc = json.loads(cp.stdout)
         assert len(doc["results"]) == 3
         assert doc["results"][2]["error"] is not None
+        # JSON objects carry the CSV columns in CSV order, an error row's metrics as null
+        csv_out = run_cli("sweep", str(grid))
+        assert csv_out.returncode == 0, csv_out.stderr
+        header = data_lines(csv_out.stdout)[0].split(",")
+        assert all(list(result) == header for result in doc["results"])
+        metrics = header[header.index("kind") + 1 : header.index("error")]
+        assert len(metrics) == 10
+        assert all(doc["results"][2][col] is None for col in metrics)
 
     def test_empty_file_emits_header_only(self, tmp_path: Path):
         grid = tmp_path / "grid.csv"

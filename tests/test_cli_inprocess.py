@@ -6,6 +6,7 @@ import io
 import pytest
 
 import gpgamma.cli as cli
+from gpgamma import DomainError, derive_params, exact_posterior, theorem1_gamma
 
 from test_cli_snapshots import CASES, FIXTURES
 
@@ -38,6 +39,19 @@ def test_domain_error_message_goes_to_stderr(capsys):
     assert status == 1
     assert "lambda2" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry", [exact_posterior, theorem1_gamma, "cli"])
+def test_negative_x_is_refused(entry, capsys):
+    # The library entries that take x raise; the CLI reports it and exits 1.
+    if entry == "cli":
+        assert cli.main(["posterior", "-a", "1.5", "-b", "0.1", "-c", "-0.05", "-x", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: x must be a non-negative integer")
+    else:
+        with pytest.raises(DomainError, match="non-negative"):
+            entry(derive_params(1.5, 0.1, -0.05), -1)
 
 
 def test_moment_precision_failure_exits_one(capsys):

@@ -89,13 +89,15 @@ def _both(fmt, doc_fields, parts, chunk):
 @given(tables(), tables(), st.sampled_from(["csv", "json"]), st.integers(1, 5))
 def test_column_renderer_matches_rowwise_oracle(first, second, fmt, chunk):
     t1, t2 = cli._Table(*first), cli._Table(*second)
+    # every kind of value a command emits outside a table: int, float and
+    # str scalars and a flat dict of floats
     doc_fields = {
         "params": {"a": 1.5, "b": -0.0, "m": 2.01375270747123},
+        "x": 10,
+        "grid_file": 'g,"1".csv',
         "rows": t1,
         "tail_bound": math.inf,
-        "results": [{"index": 0, "tv": 0.1, "error": None}, {"index": 1, "error": "b,\n\"x\""}],
         "overlay": t2,
-        "empty": {},
     }
     got, want = _both(fmt, doc_fields, [t1, "overlay", t2], chunk)
     assert got == want

@@ -3,7 +3,10 @@
 Every subcommand runs in-process through ``cli.main`` in both formats, and
 its stdout is compared with a fixture under ``tests/fixtures/cli/``.  A
 moved snapshot means the printed output changed: fix the code.  Only a
-deliberate change of the output format, an accuracy fix whose moved fields
+deliberate change of the output format (``sweep.json`` rendered from the
+CSV table: each result object lists its keys in the CSV header's order, so
+``error`` comes last, and the error row carries the 10 metric keys as null,
+every old key keeping its value), an accuracy fix whose moved fields
 are checked against an independent oracle (as the window masses are
 below), a diagnostic moved within its stated accuracy and checked the
 same way (``dropped_term_ratio``, now taken under the truncated table:
