@@ -22,7 +22,7 @@ from typing import Any, Iterable, Sequence, TextIO
 from .approximation import KINDS, build_gamma, discretize_gamma
 from .errors import DomainError, NumericError, PrecisionError
 from .model import derive_params
-from .posterior import exact_posterior, posterior_moments
+from .posterior import PosteriorTable, exact_posterior, posterior_moments
 from .special import bernoulli_numbers, bernoulli_polynomial, power_sum
 from .validation import (
     ComparisonReport,
@@ -155,21 +155,19 @@ def _emit(
             _write_table(sys.stdout, part, json_out=False)
 
 
-def _model_echo(
-    args: argparse.Namespace, m: float
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """The model arguments as JSON fields and as CSV header pairs."""
+def _model_table(args: argparse.Namespace) -> tuple[PosteriorTable, dict[str, Any], dict[str, Any]]:
+    """The exact posterior at the model arguments, and those as JSON fields and CSV header pairs."""
+    table = exact_posterior(derive_params(args.a, args.b, args.c), args.x, args.eps_tail)
+    m = table.params.m
     doc = {"params": {"a": args.a, "b": args.b, "c": args.c, "m": m}, "x": args.x}
-    return doc, {"a": args.a, "b": args.b, "c": args.c, "x": args.x, "m": m}
+    return table, doc, {"a": args.a, "b": args.b, "c": args.c, "x": args.x, "m": m}
 
 
 def cmd_posterior(args: argparse.Namespace) -> int:
-    params = derive_params(args.a, args.b, args.c)
-    table = exact_posterior(params, args.x, args.eps_tail)
+    table, doc, header = _model_table(args)
     mu, var = posterior_moments(table)
     rows = _Table(("k", "prob", "log_weight"), [table.support, table.probs, table.log_weights])
     footer = {"tail_bound": table.tail_bound, "mu_post": mu, "var_post": var}
-    doc, header = _model_echo(args, params.m)
     _emit(
         args,
         {**doc, "eps_tail": args.eps_tail, "rows": rows, **footer},
@@ -180,14 +178,12 @@ def cmd_posterior(args: argparse.Namespace) -> int:
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
-    params = derive_params(args.a, args.b, args.c)
-    table = exact_posterior(params, args.x, args.eps_tail)
+    table, doc, header = _model_table(args)
     g = build_gamma(args.kind.replace("-", "_"), table)
     disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=False)
     gamma = {"shape": g.shape, "scale": g.scale, "mean": g.mean, "variance": g.variance}
     rows = _Table(("k", "prob"), [table.support, disc.probs])
     footer = {"raw_total": disc.raw_total}
-    doc, header = _model_echo(args, params.m)
     echo = {"kind": g.kind, "eps_tail": args.eps_tail}
     _emit(
         args,
@@ -199,14 +195,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    params = derive_params(args.a, args.b, args.c)
-    table = exact_posterior(params, args.x, args.eps_tail)
+    table, doc, header = _model_table(args)
     discs, reports = zip(*compare_kinds(table, args.epsilon_ineq))
     metrics = _Table(_METRIC_COLUMNS, [[getattr(r, c) for r in reports] for c in _METRIC_COLUMNS])
     overlay = _Table(
         ("k", "exact", *KINDS), [table.support, table.probs, *(d.probs for d in discs)]
     )
-    doc, header = _model_echo(args, params.m)
     echo = {"eps_tail": args.eps_tail, "epsilon_ineq": args.epsilon_ineq}
     _emit(
         args,
@@ -263,14 +257,16 @@ def _verify_bernoulli_rows() -> list[tuple[str, str, float, bool]]:
     return rows
 
 
+_VERIFY_SUITES = {
+    "lerch": _verify_lerch_rows,
+    "bernoulli": _verify_bernoulli_rows,
+    "powersum": _verify_powersum_rows,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "lerch": _verify_lerch_rows,
-        "bernoulli": _verify_bernoulli_rows,
-        "powersum": _verify_powersum_rows,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    rows = [row for name in names for row in suites[name]()]
+    names = list(_VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    rows = [row for name in names for row in _VERIFY_SUITES[name]()]
     checks = _Table(("check", "params", "relative_error", "pass"), list(zip(*rows)))
     echo = {"suite": args.suite}
     _emit(args, {**echo, "checks": checks}, echo, [checks])
@@ -320,6 +316,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+_ARGUMENTS = {
+    "-a": dict(type=float, required=True, help="model constant a"),
+    "-b": dict(type=float, required=True, help="rate constant b in (0,1)"),
+    "-c": dict(type=float, required=True, help="model constant c"),
+    "-x": dict(type=int, required=True, help="observed count"),
+    "--eps-tail": dict(
+        type=float,
+        default=1e-10,
+        help="relative truncation tail for the exact posterior (default 1e-10)",
+    ),
+    "--kind": dict(
+        choices=[k.replace("_", "-") for k in KINDS], required=True, help="gamma construction"
+    ),
+    "--epsilon-ineq": dict(
+        type=float, default=0.01, help="epsilon for the validity inequality (default 0.01)"
+    ),
+    "suite": dict(choices=[*_VERIFY_SUITES, "all"], help="which identity suite to run"),
+    "grid_file": dict(help="CSV file with lines a,b,c,x (# comments allowed)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
+}
+_MODEL = ("-a", "-b", "-c", "-x", "--eps-tail")
+
+# Each subcommand: handler, help, and its _ARGUMENTS keys in --help's order; --format ends each.
+_COMMANDS = {
+    "posterior": (cmd_posterior, "exact posterior table of k", _MODEL),
+    "approx": (cmd_approx, "gamma approximation and its discretized pmf", (*_MODEL, "--kind")),
+    "compare": (
+        cmd_compare, "metrics and overlay for both gamma kinds", (*_MODEL, "--epsilon-ineq")
+    ),
+    "verify": (cmd_verify, "numerical identity checks", ("suite",)),
+    "sweep": (
+        cmd_sweep,
+        "comparison reports over a grid file",
+        ("grid_file", "--eps-tail", "--epsilon-ineq"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpgamma",
@@ -329,82 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_model_args(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("-a", type=float, required=True, help="model constant a")
-        sp.add_argument("-b", type=float, required=True, help="rate constant b in (0,1)")
-        sp.add_argument("-c", type=float, required=True, help="model constant c")
-        sp.add_argument("-x", type=int, required=True, help="observed count")
-        add_eps_tail_arg(sp)
-
-    def add_eps_tail_arg(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--eps-tail",
-            type=float,
-            default=1e-10,
-            help="relative truncation tail for the exact posterior (default 1e-10)",
-        )
-
-    def add_epsilon_ineq_arg(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--epsilon-ineq",
-            type=float,
-            default=0.01,
-            help="epsilon for the validity inequality (default 0.01)",
-        )
-
-    def add_format_arg(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="output format (default csv)",
-        )
-
-    sp = sub.add_parser("posterior", help="exact posterior table of k")
-    add_model_args(sp)
-    add_format_arg(sp)
-    sp.set_defaults(func=cmd_posterior)
-
-    sp = sub.add_parser("approx", help="gamma approximation and its discretized pmf")
-    add_model_args(sp)
-    sp.add_argument(
-        "--kind",
-        choices=("theorem1", "moment-matched"),
-        required=True,
-        help="gamma construction",
-    )
-    add_format_arg(sp)
-    sp.set_defaults(func=cmd_approx)
-
-    sp = sub.add_parser("compare", help="metrics and overlay for both gamma kinds")
-    add_model_args(sp)
-    add_epsilon_ineq_arg(sp)
-    add_format_arg(sp)
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("verify", help="numerical identity checks")
-    sp.add_argument(
-        "suite",
-        choices=("lerch", "bernoulli", "powersum", "all"),
-        help="which identity suite to run",
-    )
-    add_format_arg(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("sweep", help="comparison reports over a grid file")
-    sp.add_argument("grid_file", help="CSV file with lines a,b,c,x (# comments allowed)")
-    add_eps_tail_arg(sp)
-    add_epsilon_ineq_arg(sp)
-    add_format_arg(sp)
-    sp.set_defaults(func=cmd_sweep)
-
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in (*arguments, "--format"):
+            sp.add_argument(flag, **_ARGUMENTS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GridFormatError as exc:

@@ -190,11 +190,17 @@ class TestSweepCommand:
             "var_approx,dropped_term_ratio,inequality_holds,raw_total,error"
         ]
 
-    def test_malformed_line_names_lineno(self, tmp_path: Path):
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5,0.1,-0.05,5\n1.5,0.1\n", "1.5,0.1,-0.05,5\n1.5,abc,-0.05,5\n"],
+        ids=["field_count", "bad_value"],
+    )
+    def test_malformed_line_names_lineno(self, text, tmp_path: Path):
         grid = tmp_path / "grid.csv"
-        grid.write_text("1.5,0.1,-0.05,5\n1.5,0.1\n")
+        grid.write_text(text)
         cp = run_cli("sweep", str(grid))
         assert cp.returncode == 2
+        assert cp.stderr.startswith("usage error: ")
         assert ":2:" in cp.stderr
 
     def test_missing_file_exits_two(self, tmp_path: Path):

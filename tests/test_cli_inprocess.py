@@ -16,7 +16,7 @@ def test_verify_failure_exits_one_after_emitting(monkeypatch, capsys):
         ("lerch_denominator", "a=1 b=0.2 c=0 x=1", 3e-12, True),
         ("lerch_denominator", "a=1 b=0.2 c=0 x=2", 0.5, False),
     ]
-    monkeypatch.setattr(cli, "_verify_lerch_rows", lambda: rows)
+    monkeypatch.setitem(cli._VERIFY_SUITES, "lerch", lambda: rows)
     status = cli.main(["verify", "lerch"])
     out = capsys.readouterr().out
     assert status == 1
@@ -25,8 +25,10 @@ def test_verify_failure_exits_one_after_emitting(monkeypatch, capsys):
 
 
 def test_verify_failure_json(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli, "_verify_powersum_rows", lambda: [("power_sum_identity", "n=1 upper=1", 1.0, False)]
+    monkeypatch.setitem(
+        cli._VERIFY_SUITES,
+        "powersum",
+        lambda: [("power_sum_identity", "n=1 upper=1", 1.0, False)],
     )
     status = cli.main(["verify", "powersum", "--format", "json"])
     assert status == 1
@@ -115,6 +117,29 @@ def test_help_states_each_tolerance_flag_and_its_default(command, flag, capsys):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert TOLERANCE_HELP[flag] in " ".join(capsys.readouterr().out.split())
+
+
+USAGE_LINES = {
+    "posterior": "usage: gpgamma posterior [-h] -a A -b B -c C -x X [--eps-tail EPS_TAIL] "
+    "[--format {csv,json}]",
+    "approx": "usage: gpgamma approx [-h] -a A -b B -c C -x X [--eps-tail EPS_TAIL] "
+    "--kind {theorem1,moment-matched} [--format {csv,json}]",
+    "compare": "usage: gpgamma compare [-h] -a A -b B -c C -x X [--eps-tail EPS_TAIL] "
+    "[--epsilon-ineq EPSILON_INEQ] [--format {csv,json}]",
+    "verify": "usage: gpgamma verify [-h] [--format {csv,json}] {lerch,bernoulli,powersum,all}",
+    "sweep": "usage: gpgamma sweep [-h] [--eps-tail EPS_TAIL] [--epsilon-ineq EPSILON_INEQ] "
+    "[--format {csv,json}] grid_file",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE_LINES))
+def test_usage_line_lists_each_argument(command, monkeypatch, capsys):
+    # wide enough that every usage line fits on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == USAGE_LINES[command]
 
 
 class _ClosedPipe(io.TextIOBase):

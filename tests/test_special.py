@@ -196,6 +196,13 @@ class TestPowerSum:
     def test_values(self, n, upper, expected):
         assert power_sum(n, upper) == expected
 
+    @pytest.mark.parametrize(
+        "n,upper,message", [(-1, 5, "exponent must be >= 0"), (2, -1, "upper must be >= 0")]
+    )
+    def test_refuses_negative_arguments(self, n, upper, message):
+        with pytest.raises(DomainError, match=message):
+            power_sum(n, upper)
+
     def test_square_of_triangular(self):
         # sum r^3 = (sum r)^2
         for upper in (2, 5, 17, 30):
@@ -282,3 +289,5 @@ class TestLerchPhiBernoulli:
             lerch_phi_bernoulli(1.2, 3, 1.0, terms=2)
         with pytest.raises(DomainError):
             lerch_phi_bernoulli(1e-4, 3, 1.0, terms=2)  # |log z| >= 2*pi
+        with pytest.raises(DomainError, match="order h must be >= 0"):
+            lerch_phi_bernoulli(0.5, -1, 1.0, terms=2)

@@ -295,6 +295,9 @@ class TestVerifyBernoulliExpansion:
             verify_bernoulli_expansion(params, 3, 0)
         with pytest.raises(UnsupportedOrderError):
             verify_bernoulli_expansion(params, 20, 45)
+        # m = 3 with small b drives w negative
+        with pytest.raises(DomainError, match="needs w > 0"):
+            verify_bernoulli_expansion(derive_params(0.0, 0.05, math.log(3.0)), 3, 4)
 
 
 class TestSweep:
