@@ -4,8 +4,9 @@ its gamma approximations.
 The package splits into a scalar special-function kernel (:mod:`~gpgamma.special`),
 the count model (:mod:`~gpgamma.model`), the exact posterior engine
 (:mod:`~gpgamma.posterior`), the gamma approximations
-(:mod:`~gpgamma.approximation`) and the comparison/verification layer
-(:mod:`~gpgamma.validation`).  A CLI front end lives in :mod:`~gpgamma.cli`.
+(:mod:`~gpgamma.approximation`) and the comparison layer with its check of
+the normalizer's Lerch form (:mod:`~gpgamma.validation`).  A CLI front end
+lives in :mod:`~gpgamma.cli`.
 """
 
 from .approximation import (
@@ -23,7 +24,6 @@ from .errors import (
     DomainError,
     NumericError,
     PrecisionError,
-    UnsupportedOrderError,
 )
 from .model import ModelParams, derive_params
 from .posterior import (
@@ -39,7 +39,6 @@ from .validation import (
     compare_kinds,
     full_support_tv,
     sweep,
-    verify_bernoulli_expansion,
     verify_lerch_denominator,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "PosteriorTable",
     "PrecisionError",
     "SweepResult",
-    "UnsupportedOrderError",
     "build_gamma",
     "compare",
     "compare_kinds",
@@ -71,6 +69,5 @@ __all__ = [
     "posterior_moments",
     "sweep",
     "theorem1_gamma",
-    "verify_bernoulli_expansion",
     "verify_lerch_denominator",
 ]

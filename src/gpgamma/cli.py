@@ -2,9 +2,10 @@
 
 Subcommands: ``posterior`` (exact table), ``approx`` (gamma parameters and
 discretized pmf), ``compare`` (metrics plus plot-ready overlay columns),
-``verify`` (identity checks over the built-in grid) and ``sweep`` (grid
-file driver).  Output is CSV (default) or a single JSON document; repeated
-runs with identical flags produce byte-identical output.
+``verify`` (the Lerch form of the normalizer checked over the built-in
+grid) and ``sweep`` (grid file driver).  Output is CSV (default) or a
+single JSON document; repeated runs with identical flags produce
+byte-identical output.
 
 Exit status: 0 success, 1 domain or tolerance failure, 2 usage error,
 141 when stdout is a pipe whose reader closed it early (128 + SIGPIPE).
@@ -23,14 +24,7 @@ from .approximation import KINDS, build_gamma, discretize_gamma
 from .errors import DomainError, NumericError, PrecisionError
 from .model import derive_params
 from .posterior import PosteriorTable, exact_posterior, posterior_moments
-from .special import bernoulli_numbers, bernoulli_polynomial, power_sum
-from .validation import (
-    ComparisonReport,
-    compare_kinds,
-    sweep,
-    verify_bernoulli_expansion,
-    verify_lerch_denominator,
-)
+from .validation import ComparisonReport, compare_kinds, sweep, verify_lerch_denominator
 
 SCHEMA_VERSION = "1"
 
@@ -38,7 +32,6 @@ SCHEMA_VERSION = "1"
 REFERENCE_SETS = ((1.5, 0.1, -0.05), (1.5, 0.5, -0.05))
 
 _LERCH_TOL = 1e-8
-_POWERSUM_TOL = 1e-9
 
 _METRIC_COLUMNS = [f.name for f in dataclasses.fields(ComparisonReport)]
 
@@ -222,46 +215,7 @@ def _verify_lerch_rows() -> list[tuple[str, str, float, bool]]:
     return rows
 
 
-def _verify_powersum_rows() -> list[tuple[str, str, float, bool]]:
-    rows = []
-    for n in range(0, 21):
-        table = bernoulli_numbers(n + 1)
-        for upper in (1, 5, 10, 30):
-            expected = power_sum(n, upper)
-            got = (bernoulli_polynomial(n + 1, float(upper)) - table[n + 1]) / (n + 1)
-            err = abs(got - expected) / (abs(expected) if expected != 0.0 else 1.0)
-            detail = _kv([("n", n), ("upper", upper)])
-            rows.append(("power_sum_identity", detail, err, err < _POWERSUM_TOL))
-    return rows
-
-
-def _verify_bernoulli_rows() -> list[tuple[str, str, float, bool]]:
-    rows = []
-    errs_at_8 = {}
-    for a, b, c in REFERENCE_SETS:
-        params = derive_params(a, b, c)
-        for x in (1, 2, 3):
-            few = verify_bernoulli_expansion(params, x, 2)
-            many = verify_bernoulli_expansion(params, x, 8)
-            errs_at_8[(b, x)] = many
-            detail = _kv([("a", a), ("b", b), ("c", c), ("x", x)])
-            # 1e-14 slack: both errors may sit at the float noise floor.
-            shrinks = many <= few + 1e-14
-            rows.append(("bernoulli_expansion_shrinks", detail, many, shrinks))
-    small_b, large_b = REFERENCE_SETS[0][1], REFERENCE_SETS[1][1]
-    for x in (1, 2, 3):
-        err = errs_at_8[(large_b, x)]
-        ordered = err >= errs_at_8[(small_b, x)]
-        detail = _kv([("x", x), ("terms", 8)])
-        rows.append(("bernoulli_error_rate_ordering", detail, err, ordered))
-    return rows
-
-
-_VERIFY_SUITES = {
-    "lerch": _verify_lerch_rows,
-    "bernoulli": _verify_bernoulli_rows,
-    "powersum": _verify_powersum_rows,
-}
+_VERIFY_SUITES = {"lerch": _verify_lerch_rows}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument or model parameter lies outside its mathematical domain."""
 
 
-class UnsupportedOrderError(DomainError):
-    """A Bernoulli order above the supported cap was requested."""
-
-
 class PrecisionError(ValueError):
     """A result would not meet the precision the operation guarantees."""
 

@@ -1,32 +1,22 @@
 """Scalar special-function kernel.
 
-The regularized lower and upper incomplete gamma functions, Bernoulli
-numbers and polynomials, integer power sums, and the Lerch transcendent
-for non-positive integer order.  All functions are pure and may be called
-concurrently from any number of threads; the one shared state, the exact
-Bernoulli table, is immutable once built on first use.
+The regularized lower and upper incomplete gamma functions and the Lerch
+transcendent for non-positive integer order.  All functions are pure and
+may be called concurrently from any number of threads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
-from .errors import DomainError, NumericError, UnsupportedOrderError
+from .errors import DomainError, NumericError
 
 __all__ = [
-    "MAX_BERNOULLI_ORDER",
-    "bernoulli_numbers",
-    "bernoulli_polynomial",
     "lerch_phi",
-    "lerch_phi_bernoulli",
-    "power_sum",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
 ]
-
-MAX_BERNOULLI_ORDER = 60
 
 _EPS = sys.float_info.epsilon
 _INC_GAMMA_MAX_ITER = 500
@@ -41,8 +31,9 @@ def reg_lower_inc_gamma(u: float, v: float, *, shift: float = 0.0) -> float:
     P(u, v) = (1/Gamma(u)) * integral_0^v t^(u-1) e^(-t) dt, computed by the
     classic two-branch scheme: a power series in v when v < u + 1 and a
     modified-Lentz continued fraction for the complement Q(u, v) otherwise.
-    Both branches converge in a handful of iterations on their side of the
-    split; a hard cap guards against pathological arguments.
+    Both branches converge in a few iterations on their side of the split,
+    except near v = u, where they take up to about 8.5 sqrt(u); the
+    iteration cap grows with sqrt(u) to allow them.
 
     Returns a value in [0, 1], non-decreasing in ``v`` for fixed ``u``.
     With ``shift`` it returns P(u, v) e^(-shift) instead: the shift enters
@@ -92,13 +83,16 @@ def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
     # Shared prefactor v^u e^{-v} / Gamma(u) e^(-shift); underflows
     # harmlessly to 0 far out in either tail.
     log_front = u * math.log(v) - v - math.lgamma(u) - shift
+    # Near v = u the series terms fall like e^(-n^2 / 2u): about sqrt(72 u)
+    # of them come before one drops below eps, so the cap grows with sqrt(u).
+    max_iter = _INC_GAMMA_MAX_ITER + int(9.0 * math.sqrt(u))
 
     if v < u + 1.0:
         # Lower series: P = front * sum_{n>=0} v^n / (u (u+1) ... (u+n)).
         term = 1.0 / u
         total = term
         den = u
-        for _ in range(_INC_GAMMA_MAX_ITER):
+        for _ in range(max_iter):
             den += 1.0
             term *= v / den
             total += term
@@ -114,7 +108,7 @@ def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _INC_GAMMA_MAX_ITER + 1):
+    for i in range(1, max_iter + 1):
         an = -i * (i - u)
         b += 2.0
         d = an * d + b
@@ -132,57 +126,6 @@ def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
     raise NumericError(
         f"incomplete gamma continued fraction did not converge for u={u}, v={v}"
     )
-
-
-@functools.cache
-def _bernoulli_fractions() -> tuple:
-    from fractions import Fraction  # imported here: it loads decimal, which nothing else needs
-
-    # Defining recurrence b_n = -(1/(n+1)) sum_{j<n} C(n+1, j) b_j, run in
-    # exact rational arithmetic: the alternating sum cancels catastrophically
-    # in floating point (the odd-order zeros come out ~1e19 near order 60).
-    # Built once, on first use, up to the cap; each b_n depends on lower
-    # orders only, so every shorter table is a prefix of this one.
-    out = [Fraction(1)]
-    for n in range(1, MAX_BERNOULLI_ORDER + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * out[j]
-        out.append(-acc / (n + 1))
-    return tuple(out)
-
-
-def bernoulli_numbers(max_order: int) -> tuple[float, ...]:
-    """Bernoulli numbers b_0 .. b_max_order as a tuple of floats.
-
-    Uses the convention b_1 = -1/2, under which B_n(0) = b_n and the
-    power-sum identity holds as written.  Orders above
-    ``MAX_BERNOULLI_ORDER`` are refused: beyond that the magnitudes
-    (|b_60| ~ 2e34) leave no headroom for downstream float arithmetic.
-    """
-    if max_order < 0:
-        raise DomainError(f"Bernoulli order must be >= 0, got {max_order}")
-    if max_order > MAX_BERNOULLI_ORDER:
-        raise UnsupportedOrderError(
-            f"Bernoulli order {max_order} exceeds the supported cap "
-            f"{MAX_BERNOULLI_ORDER}"
-        )
-    return tuple(map(float, _bernoulli_fractions()[: max_order + 1]))
-
-
-def bernoulli_polynomial(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x) = sum_j C(n, j) b_{n-j} x^j, for 0 <= n <= 60."""
-    b = bernoulli_numbers(n)
-    return math.fsum(math.comb(n, j) * b[n - j] * x**j for j in range(n + 1))
-
-
-def power_sum(n: int, upper: int) -> float:
-    """Sum of r**n over r = 0 .. upper-1, exact in integers (0**0 counts as 1)."""
-    if n < 0:
-        raise DomainError(f"exponent must be >= 0, got {n}")
-    if upper < 0:
-        raise DomainError(f"upper must be >= 0, got {upper}")
-    return float(sum(r**n for r in range(upper)))
 
 
 def lerch_phi(z: float, s: int, a: float, eps: float = 1e-12) -> float:
@@ -235,32 +178,3 @@ def lerch_phi(z: float, s: int, a: float, eps: float = 1e-12) -> float:
         f"for z={z}, s={s}, a={a}, eps={eps}"
     )
 
-
-def lerch_phi_bernoulli(z: float, h: int, a: float, terms: int) -> float:
-    """Lerch transcendent at order -h via its Bernoulli-polynomial expansion.
-
-    Evaluates h! z^(-a) (log 1/z)^(-(h+1)) minus the correction series
-    sum_{r<terms} B_{h+r+1}(a) (log z)^r / (r! (h+r+1)), all times z^(-a)
-    on the correction.  Requires 0 < z < 1 with |log z| < 2*pi; the
-    truncation error shrinks as ``terms`` grows, fastest when log(1/z)
-    is small.
-    """
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"lerch_phi_bernoulli requires 0 < z < 1, got z={z!r}")
-    logz = math.log(z)
-    if abs(logz) >= 2.0 * math.pi:
-        raise DomainError(f"expansion requires |log z| < 2*pi, got log z={logz}")
-    if h < 0:
-        raise DomainError(f"order h must be >= 0, got {h}")
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    if h + terms > MAX_BERNOULLI_ORDER:
-        raise UnsupportedOrderError(
-            f"expansion needs Bernoulli order {h + terms} > cap {MAX_BERNOULLI_ORDER}"
-        )
-    front = math.factorial(h) * z**-a * (-logz) ** -(h + 1)
-    correction = math.fsum(
-        bernoulli_polynomial(h + r + 1, a) * logz**r / (math.factorial(r) * (h + r + 1))
-        for r in range(terms)
-    )
-    return front - z**-a * correction

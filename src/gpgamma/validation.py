@@ -1,8 +1,9 @@
 """Distance metrics, identity cross-checks, and parameter-grid sweeps.
 
 ``compare`` quantifies how well a discretized gamma approximation tracks an
-exact posterior table; the ``verify_*`` functions check the supporting
-special-function identities numerically; ``sweep`` drives both over a grid.
+exact posterior table; ``verify_lerch_denominator`` checks the Lerch form
+of the posterior normalizer against the engine's; ``sweep`` drives
+``compare`` over a grid.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .posterior import (
     posterior_moments,
     window_moments,
 )
-from .special import (
-    lerch_phi,
-    lerch_phi_bernoulli,
-    reg_lower_inc_gamma,
-    reg_upper_inc_gamma,
-)
+from .special import reg_lower_inc_gamma, reg_upper_inc_gamma
 
 __all__ = [
     "ComparisonReport",
@@ -47,7 +43,6 @@ __all__ = [
     "compare_kinds",
     "full_support_tv",
     "sweep",
-    "verify_bernoulli_expansion",
     "verify_lerch_denominator",
 ]
 
@@ -194,26 +189,6 @@ def verify_lerch_denominator(params: ModelParams, x: int) -> float:
     via_lerch = denominator_lerch(params, x)
     engine = math.exp(exact_posterior(params, x, _REFERENCE_EPS_TAIL).log_normalizer)
     return abs(via_lerch - engine) / engine
-
-
-def verify_bernoulli_expansion(params: ModelParams, x: int, terms: int) -> float:
-    """Relative deviation of the Bernoulli expansion from the Lerch series.
-
-    Evaluates the expansion of Phi(z, -x, w*x) at z = exp(-rate) truncated
-    after ``terms`` correction terms and returns its relative distance from
-    the directly summed transcendent.  The deviation shrinks as ``terms``
-    grows, fastest when the rate is small.
-    """
-    if x < 1 or x > 20:
-        raise DomainError(f"expansion check supports 1 <= x <= 20, got x={x}")
-    if params.w <= 0.0:
-        raise DomainError(f"expansion check needs w > 0, got w={params.w}")
-    z = math.exp(-params.rate)
-    a = params.w * x
-    approx = lerch_phi_bernoulli(z, x, a, terms)
-    # tight reference so the reported gap is the expansion's, not the series'
-    reference = lerch_phi(z, -x, a, eps=1e-14)
-    return abs(approx - reference) / abs(reference)
 
 
 def sweep(

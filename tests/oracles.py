@@ -281,6 +281,38 @@ def lerch_partial_sum(z: float, h: int, a: float, n_terms: int = 1_000_000) -> f
     return total
 
 
+def bernoulli_lerch_expansion(z: float, h: int, a: float, terms: int) -> float:
+    """Phi(z, -h, a) by its Bernoulli-polynomial expansion, cut after ``terms`` corrections.
+
+    h! z^(-a) (log 1/z)^(-(h+1)) minus z^(-a) times the correction series
+    sum_{r<terms} B_(h+r+1)(a) (log z)^r / (r! (h+r+1)), for |log z| < 2 pi:
+    the expansion the paper's gamma comes from.  Taken in mpmath at 30
+    digits, so what is left is the truncation error, which shrinks as
+    ``terms`` grows, fastest when log(1/z) is small.
+    """
+    with mpmath.workdps(30):
+        z, a = mpmath.mpf(z), mpmath.mpf(a)
+        logz = mpmath.log(z)
+        front = mpmath.factorial(h) * z**-a * (-logz) ** -(h + 1)
+        correction = mpmath.fsum(
+            mpmath.bernpoly(h + r + 1, a) * logz**r / (mpmath.factorial(r) * (h + r + 1))
+            for r in range(terms)
+        )
+        return float(front - z**-a * correction)
+
+
+def bernoulli_power_sum(n: int, upper: int) -> float:
+    """(B_(n+1)(X) - b_(n+1)) / (n+1) at X = ``upper``, from mpmath at 30 digits.
+
+    By the power-sum identity this is the sum of r^n over r = 0 .. X-1
+    (0^0 counting as 1).  It holds as written under mpmath's convention
+    b_1 = -1/2, under which B_n(0) = b_n.
+    """
+    with mpmath.workdps(30):
+        b = mpmath.bernpoly(n + 1, upper) - mpmath.bernoulli(n + 1)
+        return float(b / (n + 1))
+
+
 def mpmath_dropped_term_ratio(params: ModelParams, x: int) -> float:
     """Second-to-first term ratio of the Lerch form of the normalizer.
 

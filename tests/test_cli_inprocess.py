@@ -27,10 +27,10 @@ def test_verify_failure_exits_one_after_emitting(monkeypatch, capsys):
 def test_verify_failure_json(monkeypatch, capsys):
     monkeypatch.setitem(
         cli._VERIFY_SUITES,
-        "powersum",
-        lambda: [("power_sum_identity", "n=1 upper=1", 1.0, False)],
+        "lerch",
+        lambda: [("lerch_denominator", "a=1 b=0.2 c=0 x=1", 1.0, False)],
     )
-    status = cli.main(["verify", "powersum", "--format", "json"])
+    status = cli.main(["verify", "lerch", "--format", "json"])
     assert status == 1
     assert '"pass": false' in capsys.readouterr().out
 
@@ -126,7 +126,7 @@ USAGE_LINES = {
     "--kind {theorem1,moment-matched} [--format {csv,json}]",
     "compare": "usage: gpgamma compare [-h] -a A -b B -c C -x X [--eps-tail EPS_TAIL] "
     "[--epsilon-ineq EPSILON_INEQ] [--format {csv,json}]",
-    "verify": "usage: gpgamma verify [-h] [--format {csv,json}] {lerch,bernoulli,powersum,all}",
+    "verify": "usage: gpgamma verify [-h] [--format {csv,json}] {lerch,all}",
     "sweep": "usage: gpgamma sweep [-h] [--eps-tail EPS_TAIL] [--epsilon-ineq EPSILON_INEQ] "
     "[--format {csv,json}] grid_file",
 }

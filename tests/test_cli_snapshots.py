@@ -26,7 +26,11 @@ from mpmath window masses is 8.00950713233e-06; the 3- and 4-point rules:
 the same field, 8.00950713239e-06 -> 8.00950713231e-06, in ``sweep.csv``
 and ``sweep.json``; dropping the 4- and 6-point rules: the same field,
 8.00950713231e-06 -> 8.00950713222e-06, where the window pmf came closer to
-mpmath's but its renormalized sum moved one ulp, to 1 + 2.2e-16), rewrites
+mpmath's but its renormalized sum moved one ulp, to 1 + 2.2e-16), or a
+removed check suite (``verify all`` lost its 9 Bernoulli-expansion and 84
+power-sum rows with the code that computed them, which the tests now check
+in mpmath: ``verify_all.csv`` is the old file's first 33 lines and the
+``checks`` of ``verify_all.json`` the old list's first 30 entries), rewrites
 the fixtures,
 with
 

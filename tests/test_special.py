@@ -1,25 +1,19 @@
 import math
-import subprocess
-import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpgamma.errors import DomainError, NumericError, UnsupportedOrderError
-from gpgamma.special import (
-    MAX_BERNOULLI_ORDER,
-    bernoulli_numbers,
-    bernoulli_polynomial,
-    lerch_phi,
-    lerch_phi_bernoulli,
-    power_sum,
-    reg_lower_inc_gamma,
-    reg_upper_inc_gamma,
-)
+from gpgamma.errors import DomainError, NumericError
+from gpgamma.special import lerch_phi, reg_lower_inc_gamma, reg_upper_inc_gamma
 
-from oracles import lerch_partial_sum, quad_reg_lower_inc_gamma
+from oracles import (
+    bernoulli_lerch_expansion,
+    bernoulli_power_sum,
+    lerch_partial_sum,
+    quad_reg_lower_inc_gamma,
+)
 
 
 class TestRegLowerIncGamma:
@@ -60,6 +54,17 @@ class TestRegLowerIncGamma:
         assert 0.0 <= p1 <= 1.0
         assert p2 >= p1 - 1e-13
 
+    @pytest.mark.parametrize("u", [1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("d", [-10.0, -3.0, 0.0])
+    def test_large_shape_near_the_mean(self, u, d):
+        # v = u + d sqrt(u): the series takes up to about 8.5 sqrt(u) terms
+        # here.  The bound is set by the prefactor u log(v) - v - lgamma(u),
+        # whose terms cancel at large u.
+        v = u + d * math.sqrt(u)
+        with mpmath.workdps(30):
+            true = float(mpmath.gammainc(mpmath.mpf(u), 0, mpmath.mpf(v), regularized=True))
+        assert reg_lower_inc_gamma(u, v) == pytest.approx(true, rel=2e-9, abs=0.0)
+
     @pytest.mark.parametrize("u,v", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5), (math.nan, 1.0)])
     def test_domain(self, u, v):
         with pytest.raises(DomainError):
@@ -99,6 +104,14 @@ class TestRegUpperIncGamma:
     def test_zero_limit(self):
         assert reg_upper_inc_gamma(3.0, 0.0) == 1.0
 
+    @pytest.mark.parametrize("u", [1e4, 1e5, 1e6])
+    def test_large_shape_just_past_the_split(self, u):
+        # v = u + 2: the continued fraction's side of the split, near v = u,
+        # where it takes the most steps; the bound is that of the series side
+        with mpmath.workdps(30):
+            true = float(mpmath.gammainc(mpmath.mpf(u), mpmath.mpf(u + 2.0), regularized=True))
+        assert reg_upper_inc_gamma(u, u + 2.0) == pytest.approx(true, rel=2e-9, abs=0.0)
+
     @pytest.mark.parametrize(
         "u,v,shift",
         # far tails of both branches that underflow unshifted, and the
@@ -120,102 +133,68 @@ class TestRegUpperIncGamma:
             reg_upper_inc_gamma(u, v)
 
 
+# The Bernoulli numbers and polynomials the oracles take from mpmath: the
+# convention (b_1 = -1/2, so B_n(0) = b_n) and the values that the power-sum
+# identity and the Lerch expansion are written in.
+
+
 class TestBernoulliNumbers:
     def test_base(self):
-        table = bernoulli_numbers(1)
-        assert table == (1.0, -0.5)
+        assert (mpmath.bernoulli(0), mpmath.bernoulli(1)) == (1, -0.5)
 
     def test_low_orders(self):
         # recurrence by hand: b_2 = 1/6, b_3 = 0, b_4 = -1/30
-        table = bernoulli_numbers(4)
-        assert table[2] == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert table[3] == 0.0
-        assert table[4] == pytest.approx(-1.0 / 30.0, rel=1e-15)
+        assert mpmath.bernfrac(2) == (1, 6)
+        assert mpmath.bernoulli(3) == 0
+        assert mpmath.bernfrac(4) == (-1, 30)
 
     def test_table_invariants(self):
-        table = bernoulli_numbers(MAX_BERNOULLI_ORDER)
-        assert len(table) == MAX_BERNOULLI_ORDER + 1
-        assert table[0] == 1.0
-        assert table[1] == -0.5
-        for n in range(3, MAX_BERNOULLI_ORDER + 1, 2):
-            assert abs(table[n]) < 1e-12
+        for n in range(3, 61, 2):
+            assert mpmath.bernoulli(n) == 0
 
     def test_against_mpmath(self):
-        table = bernoulli_numbers(MAX_BERNOULLI_ORDER)
-        for n in range(0, MAX_BERNOULLI_ORDER + 1, 2):
-            assert table[n] == pytest.approx(float(mpmath.bernoulli(n)), rel=1e-12)
-
-    def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            bernoulli_numbers(61)
-        with pytest.raises(DomainError):
-            bernoulli_numbers(-1)
-
-    def test_exact_table_is_built_once_on_first_use(self):
-        # nothing at import (CLI start-up), then one build for a whole
-        # `verify all`, which reads the table 165 times
-        code = (
-            "import contextlib, io, gpgamma.cli as cli\n"
-            "from gpgamma.special import _bernoulli_fractions as build\n"
-            "print(build.cache_info().misses)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['verify', 'all']) == 0\n"
-            "print(build.cache_info().misses)\n"
-        )
-        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert cp.returncode == 0, cp.stderr
-        assert cp.stdout.split() == ["0", "1"]
+        # b_2n = (-1)^(n+1) 2 (2n)! zeta(2n) / (2 pi)^(2n), through mpmath's zeta
+        for n in range(1, 31):
+            via_zeta = (-1) ** (n + 1) * 2 * mpmath.factorial(2 * n) * mpmath.zeta(2 * n)
+            via_zeta /= (2 * mpmath.pi) ** (2 * n)
+            assert float(mpmath.bernoulli(2 * n)) == pytest.approx(float(via_zeta), rel=1e-12)
 
 
 class TestBernoulliPolynomial:
     def test_constant(self):
-        assert bernoulli_polynomial(0, 7.3) == 1.0
+        assert mpmath.bernpoly(0, 7.3) == 1
 
     def test_value_at_zero_is_bernoulli_number(self):
-        assert bernoulli_polynomial(2, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
-        table = bernoulli_numbers(20)
         for n in range(21):
-            assert bernoulli_polynomial(n, 0.0) == pytest.approx(table[n], abs=1e-15)
+            assert mpmath.bernpoly(n, 0) == mpmath.bernoulli(n)
 
     def test_quadratic(self):
         # B_2(x) = x^2 - x + 1/6
-        assert bernoulli_polynomial(2, 3.0) == pytest.approx(9.0 - 3.0 + 1.0 / 6.0, rel=1e-14)
-
-    def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            bernoulli_polynomial(61, 0.5)
-        with pytest.raises(DomainError, match="Bernoulli order"):
-            bernoulli_polynomial(-1, 0.5)
+        assert float(mpmath.bernpoly(2, 3)) == pytest.approx(9.0 - 3.0 + 1.0 / 6.0, rel=1e-14)
 
 
 class TestPowerSum:
+    """The identity (B_(n+1)(X) - b_(n+1))/(n+1) = sum_{r<X} r^n."""
+
     @pytest.mark.parametrize(
         "n,upper,expected",
         [(1, 3, 3.0), (0, 5, 5.0), (3, 4, 36.0), (7, 0, 0.0), (2, 1, 0.0)],
     )
     def test_values(self, n, upper, expected):
-        assert power_sum(n, upper) == expected
-
-    @pytest.mark.parametrize(
-        "n,upper,message", [(-1, 5, "exponent must be >= 0"), (2, -1, "upper must be >= 0")]
-    )
-    def test_refuses_negative_arguments(self, n, upper, message):
-        with pytest.raises(DomainError, match=message):
-            power_sum(n, upper)
+        assert bernoulli_power_sum(n, upper) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_square_of_triangular(self):
         # sum r^3 = (sum r)^2
         for upper in (2, 5, 17, 30):
-            assert power_sum(3, upper) == power_sum(1, upper) ** 2
+            cubes, ints = bernoulli_power_sum(3, upper), bernoulli_power_sum(1, upper)
+            assert cubes == pytest.approx(ints**2, rel=1e-12)
 
     def test_identity_with_bernoulli(self):
-        # (B_{n+1}(X) - b_{n+1})/(n+1) equals the power sum
         for n in (0, 1, 5, 12, 20):
-            table = bernoulli_numbers(n + 1)
             for upper in (1, 7, 30):
-                expected = power_sum(n, upper)
-                got = (bernoulli_polynomial(n + 1, float(upper)) - table[n + 1]) / (n + 1)
-                if expected == 0.0:
+                expected = sum(r**n for r in range(upper))
+                got = bernoulli_power_sum(n, upper)
+                if expected == 0:
                     assert abs(got) < 1e-9
                 else:
                     assert got == pytest.approx(expected, rel=1e-9)
@@ -267,27 +246,16 @@ class TestLerchPhi:
 
 
 class TestLerchPhiBernoulli:
+    """The Bernoulli expansion of the transcendent, in mpmath, against ``lerch_phi``."""
+
     def test_geometric_cross_check(self):
         # at order 0 the transcendent collapses to the geometric series
         for z in (0.3, 0.5, 0.7):
-            got = lerch_phi_bernoulli(z, 0, 0.7, terms=40)
+            got = bernoulli_lerch_expansion(z, 0, 0.7, terms=40)
             assert got == pytest.approx(1.0 / (1.0 - z), rel=1e-9)
+            assert got == pytest.approx(lerch_phi(z, 0, 0.7, eps=1e-14), rel=1e-9)
 
     def test_matches_direct_series(self):
         z = math.exp(-0.105)
-        direct = lerch_phi(z, -3, 1.6)
-        assert lerch_phi_bernoulli(z, 3, 1.6, terms=10) == pytest.approx(direct, rel=1e-10)
-
-    def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            lerch_phi_bernoulli(0.5, 20, 1.0, terms=45)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lerch_phi_bernoulli(0.5, 3, 1.0, terms=0)
-        with pytest.raises(DomainError):
-            lerch_phi_bernoulli(1.2, 3, 1.0, terms=2)
-        with pytest.raises(DomainError):
-            lerch_phi_bernoulli(1e-4, 3, 1.0, terms=2)  # |log z| >= 2*pi
-        with pytest.raises(DomainError, match="order h must be >= 0"):
-            lerch_phi_bernoulli(0.5, -1, 1.0, terms=2)
+        direct = lerch_phi(z, -3, 1.6, eps=1e-14)
+        assert bernoulli_lerch_expansion(z, 3, 1.6, terms=10) == pytest.approx(direct, rel=1e-10)

@@ -3,6 +3,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,9 +17,10 @@ from gpgamma.approximation import (
     moment_matched_gamma,
     theorem1_gamma,
 )
-from gpgamma.errors import DomainError, NumericError, PrecisionError, UnsupportedOrderError
+from gpgamma.errors import DomainError, NumericError, PrecisionError
 from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
+from gpgamma.special import lerch_phi
 from gpgamma.validation import (
     _KL_FLOOR,
     _dropped_term_ratio,
@@ -26,12 +28,12 @@ from gpgamma.validation import (
     compare_kinds,
     full_support_tv,
     sweep,
-    verify_bernoulli_expansion,
     verify_lerch_denominator,
 )
 
 from golden import golden_key, golden_lines, load_golden
 from oracles import (
+    bernoulli_lerch_expansion,
     edge_point,
     masked_kl_terms,
     mpmath_dropped_term_ratio,
@@ -273,31 +275,31 @@ class TestVerifyLerchDenominator:
             verify_lerch_denominator(params, x)
 
 
+def _expansion_error(abc, x, terms):
+    """Relative gap of the Bernoulli expansion of Phi(z, -x, w x), z = e^(-rate), from lerch_phi."""
+    params = derive_params(*abc)
+    z, a = math.exp(-params.rate), params.w * x
+    # tight reference so the gap is the expansion's, not the series'
+    reference = lerch_phi(z, -x, a, eps=1e-14)
+    return abs(bernoulli_lerch_expansion(z, x, a, terms) - reference) / reference
+
+
 class TestVerifyBernoulliExpansion:
+    """The expansion the paper's gamma comes from, at the reference sets' normalizers."""
+
     def test_error_shrinks_with_terms(self):
-        params = derive_params(*SMALL_RATE)
-        errs = [verify_bernoulli_expansion(params, 3, t) for t in (2, 4, 8)]
+        errs = [_expansion_error(SMALL_RATE, 3, t) for t in (2, 4, 8)]
         assert errs[2] <= errs[1] <= errs[0]
         assert errs[2] < 1e-12
+        for abc in (SMALL_RATE, LARGE_RATE):
+            for x in (1, 2, 3):
+                # 1e-14 slack: at the small rate 8 terms sit at the reference's noise
+                assert _expansion_error(abc, x, 8) <= _expansion_error(abc, x, 2) + 1e-14
 
     def test_rate_ordering(self):
-        small = derive_params(*SMALL_RATE)
-        large = derive_params(*LARGE_RATE)
-        assert verify_bernoulli_expansion(large, 3, 8) > verify_bernoulli_expansion(
-            small, 3, 8
-        )
-
-    def test_bounds(self):
-        params = derive_params(*SMALL_RATE)
-        with pytest.raises(DomainError):
-            verify_bernoulli_expansion(params, 21, 4)
-        with pytest.raises(DomainError):
-            verify_bernoulli_expansion(params, 3, 0)
-        with pytest.raises(UnsupportedOrderError):
-            verify_bernoulli_expansion(params, 20, 45)
-        # m = 3 with small b drives w negative
-        with pytest.raises(DomainError, match="needs w > 0"):
-            verify_bernoulli_expansion(derive_params(0.0, 0.05, math.log(3.0)), 3, 4)
+        assert _expansion_error(LARGE_RATE, 3, 8) > _expansion_error(SMALL_RATE, 3, 8)
+        for x in (1, 2):
+            assert _expansion_error(LARGE_RATE, x, 8) >= _expansion_error(SMALL_RATE, x, 8)
 
 
 class TestSweep:
@@ -460,6 +462,21 @@ class TestFullSupportTv:
         table = exact_posterior(params, 10)
         tv = full_support_tv(table, theorem1_gamma(params, 10))
         assert tv == pytest.approx(0.0579958, abs=1e-6)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_large_shape_point(self, kind):
+        # rate 0.01, x = 30000: the table's left edge lies 6.5-6.8 sd below
+        # the mean of a gamma of shape ~3e4, where P takes ~650 series terms
+        params = derive_params(1.5, 0.01002004008016032, -0.019034065461586633)
+        table = exact_posterior(params, 30000)
+        g = build_gamma(kind, table)
+        disc = discretize_gamma(g, table.k_min, table.k_max, renormalize=False)
+        with mpmath.workdps(30):
+            u, scale = mpmath.mpf(g.shape), mpmath.mpf(g.scale)
+            below = mpmath.gammainc(u, 0, (table.k_min - 0.5) / scale, regularized=True)
+            above = mpmath.gammainc(u, (table.k_max + 0.5) / scale, regularized=True)
+        expected = 0.5 * (np.abs(table.probs - disc.probs).sum() + float(below + above))
+        assert full_support_tv(table, g) == pytest.approx(expected, rel=2e-9)
 
 
 class TestWindowingRateAtPoissonPoint:
