@@ -82,9 +82,6 @@ assert all(
     <= 1e-15 * (2 * len(nodes) + 1) * math.comb(2 * len(nodes), len(nodes)) ** 2
     for (_, s0, v0, r0), ((nodes, _), s, v, r) in zip(_GL_RULES, _GL_RULES[1:])
 )
-# Fewest windows within 7 sd of the mean the 3-point rule's run must hold,
-# about the fixed cost of one kernel pass: a narrow gamma's keep one pass.
-_GL_MIN_RUN = 512
 # Shapes above this take the log-density about the mode in the rules.  At
 # or below it the direct form's roundoff stays near 1e-13 (1.3e-13 at worst
 # over shapes 1-50, scales 0.05-1e4, within 8 sd of the mode), in fewer
@@ -185,13 +182,9 @@ def discretize_gamma(
     Gauss-Legendre rule (``_gl_window_masses``) of 10 nodes, or of 3 where
     the 3-point remainder bound stays under 1e-15 of the window's mass.
     Each rule's windows form one run, found in closed form
-    (``_rule_runs``).  The 3-point rule is used only where its run holds at
-    least ``_GL_MIN_RUN`` windows within 7 sd of the gamma's mean, so a
-    narrow gamma's windows take the 10-node rule in one pass.
-    No rule window
-    differences two CDF values, so far upper-tail windows keep their
-    relative accuracy (~1e-13 against mpmath) until their mass underflows
-    below ~1e-300.
+    (``_rule_runs``).  No rule window differences two CDF values, so far
+    upper-tail windows keep their relative accuracy (~1e-13 against mpmath)
+    until their mass underflows below ~1e-300.
     The other windows, the steep or sharply curved ones and the head
     windows k <= 1 (for shape < 1 the density is singular at 0, too close
     to [1/2, 3/2] for a polynomial rule), are differences of the
@@ -245,10 +238,10 @@ def _log_norm(g: GammaApprox) -> float:
 def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.ndarray:
     """Masses of the windows k = k_min .. k_max times e^(-shift).
 
-    Each Gauss-Legendre rule in use takes its run from ``_rule_runs``, found
-    in closed form and gated on the gamma alone, less the 3-point run inside
-    it, in one kernel pass per piece; the windows outside the 10-point
-    rule's calm run take incomplete-gamma differences.
+    Each Gauss-Legendre rule takes its run from ``_rule_runs``, found in
+    closed form from the gamma alone, less the 3-point run inside it, in one
+    kernel pass per piece; the windows outside the 10-point rule's calm run
+    take incomplete-gamma differences.
     """
     probs = np.empty(k_max - k_min + 1)
     runs = _rule_runs(g)
@@ -273,9 +266,9 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
 def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndarray]]]:
     """The run of windows each Gauss-Legendre rule takes, as (first, last, rule).
 
-    The 10-point rule's calm run comes first, then the 3-point rule's if in
-    use, inside it; a run without end stops near sys.maxsize.  The rule
-    with the corner (S, V, r) of ``_GL_RULES`` takes the windows k >= 2
+    The 10-point rule's calm run comes first, then the 3-point rule's inside
+    it unless that is empty; a run without end stops near sys.maxsize.  The
+    rule with the corner (S, V, r) of ``_GL_RULES`` takes the windows k >= 2
     whose log-density |slope| = |(shape-1)/t - 1/scale| is at most S at
     both edges t = k -+ 1/2, with v = curve / (k - 1/2)^2 at most V and
     k - 1/2 >= r / rho.  For n = 3 nodes that bounds the remainder
@@ -293,23 +286,20 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
 
     Each condition holds on an interval of k, so each run's ends follow in
     closed form, each settled on the conditions at its boundary window.
-    The 3-point rule is not used if its run holds fewer than
-    ``_GL_MIN_RUN`` windows within 7 sd of the mean.  The runs depend on
-    the gamma alone, never on the range asked for.
+    The runs depend on the gamma alone, never on the range asked for.
     """
     rise, fall = g.shape - 1.0, 1.0 / g.scale
     if rise >= 0.0:
         curve, rho = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
     else:
         curve, rho = -rise, 0.5
-    far = 7.0 * math.sqrt(g.shape) * g.scale
 
     def fits(k: int, slope: float, t_min: float) -> bool:
         left, right = rise / (k - 0.5) - fall, rise / (k + 0.5) - fall
         return k >= 2 and k - 0.5 >= t_min and abs(left) <= slope and abs(right) <= slope
 
     runs = []
-    for rule, slope, v_max, radius in _GL_RULES if 2.0 * far >= _GL_MIN_RUN else _GL_RULES[:1]:
+    for rule, slope, v_max, radius in _GL_RULES:
         t_min = max(math.sqrt(curve / v_max), radius / rho)
         # the edges t with |rise / t - fall| <= slope fill [t_lo, t_hi]
         t_lo, t_hi = t_min, sys.maxsize
@@ -322,8 +312,6 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
         else:
             t_lo = sys.maxsize
         first, last = max(math.ceil(min(t_lo, sys.maxsize) + 0.5), 2), math.floor(t_hi - 0.5)
-        if runs and min(last, g.mean + far) - max(first, g.mean - far) < _GL_MIN_RUN:
-            break
         # rounding can leave an end a window off: settle it on the conditions
         if not fits(first, slope, t_min):
             first += 1
@@ -334,7 +322,10 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
                 last -= 1
             elif fits(last + 1, slope, t_min):
                 last += 1
-        runs.append((first, last, rule))
+        # _window_masses indexes the 10-point run as runs[0]; an empty 3-point
+        # run would make it take the pieces around it twice
+        if first <= last or not runs:
+            runs.append((first, last, rule))
     return runs
 
 

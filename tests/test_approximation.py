@@ -372,8 +372,11 @@ class TestWindowMassAccuracy:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_narrow_gamma_takes_one_kernel_pass(self, kind):
-        # rate 0.105, x = 10: 14 sd of the gamma span ~440 windows, under
-        # the gate, so every calm window takes the 10-point rule in one pass
+        # rate 0.105, x = 10: the 3-point run is empty, its curvature bound
+        # starting it near k = 646 (676 for moment_matched), past both the
+        # window where its slope bound ends it, near 122 (126), and the
+        # table's end, 456; so every calm window takes the 10-point rule in
+        # one pass, none twice
         table = exact_posterior(derive_params(*SMALL_RATE), 10)
         posterior_moments(table)
         g = build_gamma(kind, table)
@@ -383,6 +386,18 @@ class TestWindowMassAccuracy:
             _window_masses(g, table.k_min, table.k_max, 0.0)
         assert len(passes) == 1
         assert len(passes[0][4][0]) == 10
+
+    def test_a_wide_flat_gamma_takes_the_3_point_rule_to_the_table_end(self):
+        # rate 0.01, x = 0, moment_matched (shape 0.990, scale 100.5): every
+        # window of its 3-point run, 401 onwards, takes 3 nodes however few
+        # sd of the gamma the table spans
+        table = exact_posterior(derive_params(*TINY_RATE), 0)
+        g = build_gamma("moment_matched", table)
+        assert (g.shape, g.scale) == (0.9900498592156959, 100.50083062714272)
+        assert (table.k_min, table.k_max) == (0, 2371)
+        nodes = _nodes_per_window(g, table.k_min, table.k_max)
+        assert nodes[401 - table.k_min :] == [3] * (2371 - 400)
+        assert nodes[400 - table.k_min] == 10
 
     @pytest.mark.parametrize("rule", [_GL10, _GL3], ids=["10", "3"])
     def test_nodes_and_weights_are_the_leggauss_rule(self, rule):
@@ -405,6 +420,9 @@ class TestWindowMassAccuracy:
     @example(shape=11.0, log_scale=math.log(100.0))
     # a 3-point run with both ends, 2032 .. 9580
     @example(shape=100.0, log_scale=math.log(30.0))
+    # the moment_matched gamma of rate 0.01, x = 0: a 3-point run from 401
+    # at shape < 1
+    @example(shape=0.9900498592156959, log_scale=math.log(100.50083062714272))
     def test_3_point_run_ends_keep_the_remainder_bound(self, shape, log_scale):
         # the windows at either end of a 3-point run come nearest its corner,
         # where the remainder estimate is largest: the rule, without

@@ -205,7 +205,18 @@ class TestBlockedEngine:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_streaming_loop(self, b, m, x, log10_eps):
         params, x = _domain_point(b, m, x, 20_000)
-        eps = 10.0**log10_eps
+        self._check_against_the_streaming_loop(params, x, 10.0**log10_eps)
+
+    # the cuts agree (815 .. 3011), but the tail bounds are 1.6e-12 apart
+    # relative, as the log-weights are summed uncentred
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: uncentred log-weights")
+    def test_streaming_loop_at_the_known_draw(self):
+        b = m = 0.27780012306874324
+        params = derive_params(0.0, b, math.log(m))
+        self._check_against_the_streaming_loop(params, 500, 10.0**-11.875)
+
+    @staticmethod
+    def _check_against_the_streaming_loop(params, x, eps):
         table = exact_posterior(params, x, eps)
         oracle = streaming_posterior(params, x, eps)
         assert (table.k_min, table.k_max) == (oracle.k_min, oracle.k_max)
