@@ -238,14 +238,14 @@ def _log_norm(g: GammaApprox) -> float:
 def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.ndarray:
     """Masses of the windows k = k_min .. k_max times e^(-shift).
 
-    Each Gauss-Legendre rule takes its run from ``_rule_runs``, found in
-    closed form from the gamma alone, less the 3-point run inside it, in one
-    kernel pass per piece; the windows outside the 10-point rule's calm run
-    take incomplete-gamma differences.
+    ``_rule_runs`` gives, in closed form from the gamma alone, the pieces
+    of the 10-point rule's calm run and the rule each takes; each piece
+    takes one kernel pass, and the windows outside the calm run take
+    incomplete-gamma differences.
     """
     probs = np.empty(k_max - k_min + 1)
     runs = _rule_runs(g)
-    lo, hi = runs[0][:2]
+    lo, hi = runs[0][0], runs[-1][1]
     mode = (g.shape - 1.0) * g.scale
     for k in (*range(k_min, min(lo, k_max + 1)), *range(max(hi + 1, lo, k_min), k_max + 1)):
         a, b = max(k - 0.5, 0.0) / g.scale, (k + 0.5) / g.scale
@@ -254,21 +254,21 @@ def _window_masses(g: GammaApprox, k_min: int, k_max: int, shift: float) -> np.n
         else:
             inc = reg_upper_inc_gamma
         probs[k - k_min] = max(inc(g.shape, a, shift=shift) - inc(g.shape, b, shift=shift), 0.0)
-    for i, (first, last, rule) in enumerate(runs):
-        inner_first, inner_last = runs[i + 1][:2] if i + 1 < len(runs) else (last + 1, last)
-        for a, b in ((first, inner_first - 1), (inner_last + 1, last)):
-            a, b = max(a, k_min), min(b, k_max)
-            if a <= b:
-                _gl_window_masses(g, a, probs[a - k_min : b - k_min + 1], shift, rule)
+    for first, last, rule in runs:
+        a, b = max(first, k_min), min(last, k_max)
+        if a <= b:
+            _gl_window_masses(g, a, probs[a - k_min : b - k_min + 1], shift, rule)
     return probs
 
 
 def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndarray]]]:
-    """The run of windows each Gauss-Legendre rule takes, as (first, last, rule).
+    """The pieces of the 10-point rule's calm run, as (first, last, rule).
 
-    The 10-point rule's calm run comes first, then the 3-point rule's inside
-    it unless that is empty; a run without end stops near sys.maxsize.  The
-    rule with the corner (S, V, r) of ``_GL_RULES`` takes the windows k >= 2
+    Ordered and disjoint: the calm run alone if the 3-point run inside it is
+    empty, else the 10-point windows before it, the 3-point run and the
+    10-point windows after it (either possibly empty).  A run without end
+    stops near sys.maxsize.  The rule with the corner (S, V, r) of
+    ``_GL_RULES`` takes the windows k >= 2
     whose log-density |slope| = |(shape-1)/t - 1/scale| is at most S at
     both edges t = k -+ 1/2, with v = curve / (k - 1/2)^2 at most V and
     k - 1/2 >= r / rho.  For n = 3 nodes that bounds the remainder
@@ -298,8 +298,8 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
         left, right = rise / (k - 0.5) - fall, rise / (k + 0.5) - fall
         return k >= 2 and k - 0.5 >= t_min and abs(left) <= slope and abs(right) <= slope
 
-    runs = []
-    for rule, slope, v_max, radius in _GL_RULES:
+    ends = []
+    for _, slope, v_max, radius in _GL_RULES:
         t_min = max(math.sqrt(curve / v_max), radius / rho)
         # the edges t with |rise / t - fall| <= slope fill [t_lo, t_hi]
         t_lo, t_hi = t_min, sys.maxsize
@@ -322,11 +322,11 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
                 last -= 1
             elif fits(last + 1, slope, t_min):
                 last += 1
-        # _window_masses indexes the 10-point run as runs[0]; an empty 3-point
-        # run would make it take the pieces around it twice
-        if first <= last or not runs:
-            runs.append((first, last, rule))
-    return runs
+        ends.append((first, last))
+    (lo, hi), (first, last) = ends
+    if first > last:
+        return [(lo, hi, _GL10)]
+    return [(lo, first - 1, _GL10), (first, last, _GL3), (last + 1, hi, _GL10)]
 
 
 def _log_peak(g: GammaApprox) -> float:

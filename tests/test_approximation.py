@@ -415,6 +415,29 @@ class TestWindowMassAccuracy:
         ),
         log_scale=st.floats(min_value=math.log(0.05), max_value=math.log(1e4)),
     )
+    @settings(max_examples=200, deadline=None)
+    # the theorem1 gamma of rate 0.105, x = 10: its 3-point run is empty
+    @example(shape=11.0, log_scale=math.log(9.512294245007139))
+    # the moment_matched gamma of rate 0.01, x = 0: a 3-point run from 401
+    @example(shape=0.9900498592156959, log_scale=math.log(100.50083062714272))
+    def test_rule_runs_are_ordered_disjoint_pieces(self, shape, log_scale):
+        # _window_masses takes each piece once, by its rule: the calm run
+        # alone, or split around a non-empty 3-point run
+        g = GammaApprox(shape=shape, scale=math.exp(log_scale), kind="test")
+        runs = _rule_runs(g)
+        assert len(runs) in (1, 3)
+        assert all(rule is want for (*_, rule), want in zip(runs, (_GL10, _GL3, _GL10)))
+        for (_, last, _), (first, _, _) in zip(runs, runs[1:]):
+            assert first == last + 1
+        assert all(first <= last for first, last, rule in runs if rule is _GL3)
+
+    @given(
+        shape=st.one_of(
+            st.floats(min_value=math.log(0.05), max_value=math.log(3000.0)).map(math.exp),
+            st.integers(min_value=1, max_value=3000).map(float),
+        ),
+        log_scale=st.floats(min_value=math.log(0.05), max_value=math.log(1e4)),
+    )
     @settings(max_examples=60, deadline=None)
     # the theorem1 gamma of rate 0.01, x = 10: a 3-point run without end
     @example(shape=11.0, log_scale=math.log(100.0))
@@ -428,8 +451,7 @@ class TestWindowMassAccuracy:
         # where the remainder estimate is largest: the rule, without
         # roundoff, stays within 1e-15 of the window's mass
         g = GammaApprox(shape=shape, scale=math.exp(log_scale), kind="test")
-        for first, last, rule in _rule_runs(g)[1:]:
-            assert len(rule[0]) == 3
+        for first, last, _ in (run for run in _rule_runs(g) if run[2] is _GL3):
             ends = [first, first + 1] + ([last - 1, last] if last < sys.maxsize else [])
             for k in ends:
                 true = mpmath_window_mass(g.shape, g.scale, k)

@@ -16,7 +16,7 @@ def test_verify_failure_exits_one_after_emitting(monkeypatch, capsys):
         ("lerch_denominator", "a=1 b=0.2 c=0 x=1", 3e-12, True),
         ("lerch_denominator", "a=1 b=0.2 c=0 x=2", 0.5, False),
     ]
-    monkeypatch.setitem(cli._VERIFY_SUITES, "lerch", lambda: rows)
+    monkeypatch.setattr(cli, "_verify_lerch_rows", lambda: rows)
     status = cli.main(["verify", "lerch"])
     out = capsys.readouterr().out
     assert status == 1
@@ -25,9 +25,9 @@ def test_verify_failure_exits_one_after_emitting(monkeypatch, capsys):
 
 
 def test_verify_failure_json(monkeypatch, capsys):
-    monkeypatch.setitem(
-        cli._VERIFY_SUITES,
-        "lerch",
+    monkeypatch.setattr(
+        cli,
+        "_verify_lerch_rows",
         lambda: [("lerch_denominator", "a=1 b=0.2 c=0 x=1", 1.0, False)],
     )
     status = cli.main(["verify", "lerch", "--format", "json"])
