@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelParams
 from .posterior import PosteriorTable, posterior_moments
-from .special import reg_lower_inc_gamma, reg_upper_inc_gamma
+from .special import _stirlerr, reg_lower_inc_gamma, reg_upper_inc_gamma
 
 __all__ = [
     "KINDS",
@@ -87,9 +87,6 @@ assert all(
 # over shapes 1-50, scales 0.05-1e4, within 8 sd of the mode), in fewer
 # steps per call.
 _GL_CENTRED_SHAPE = 50.0
-# Loader's series for stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2,
-# exact to ~2e-16 for n > 15
-_STIRLERR = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
 
 
 @dataclass(frozen=True)
@@ -334,10 +331,7 @@ def _log_peak(g: GammaApprox) -> float:
     # -log(2 pi n)/2 - stirlerr(n) - log(scale) with n = shape - 1, free of
     # the cancellation between n log n and log Gamma(shape)
     n = g.shape - 1.0
-    nn = n * n
-    s0, s1, s2, s3, s4 = _STIRLERR
-    stirlerr = (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
-    return -0.5 * math.log(2.0 * math.pi * n) - stirlerr - math.log(g.scale)
+    return -0.5 * math.log(2.0 * math.pi * n) - _stirlerr(n) - math.log(g.scale)
 
 
 def _last_far_window(g: GammaApprox) -> int:

@@ -23,6 +23,10 @@ _INC_GAMMA_MAX_ITER = 500
 _LERCH_MAX_TERMS = 1_000_000
 _TINY = 1e-300
 _MIN_SHIFT = -math.log(sys.float_info.max)
+# Loader's series for stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2,
+# exact to ~2e-16 for n > 15
+_STIRLERR = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def reg_lower_inc_gamma(u: float, v: float, *, shift: float = 0.0) -> float:
@@ -80,9 +84,13 @@ def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
     if v == 0.0:
         return one if upper else 0.0
 
-    # Shared prefactor v^u e^{-v} / Gamma(u) e^(-shift); underflows
-    # harmlessly to 0 far out in either tail.
-    log_front = u * math.log(v) - v - math.lgamma(u) - shift
+    # Shared prefactor v^u e^{-v} / Gamma(u) e^(-shift), in Loader's form
+    # u dpois(u; v): free of the cancellation between u log(v) and
+    # lgamma(u) at large u, and underflowing harmlessly to 0 far out in
+    # either tail.
+    log_front = (
+        math.log(u) - 0.5 * math.log(2.0 * math.pi * u) - _stirlerr(u) - _bd0(u, v) - shift
+    )
     # Near v = u the series terms fall like e^(-n^2 / 2u): about sqrt(72 u)
     # of them come before one drops below eps, so the cap grows with sqrt(u).
     max_iter = _INC_GAMMA_MAX_ITER + int(9.0 * math.sqrt(u))
@@ -126,6 +134,35 @@ def _reg_inc_gamma(u: float, v: float, upper: bool, shift: float) -> float:
     raise NumericError(
         f"incomplete gamma continued fraction did not converge for u={u}, v={v}"
     )
+
+
+def _stirlerr(n: float) -> float:
+    # log n! - (n + 1/2) log n + n - log(2 pi)/2, directly where the terms
+    # cancel little
+    if n <= 15.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    nn = n * n
+    s0, s1, s2, s3, s4 = _STIRLERR
+    return (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    # Loader's deviance x log(x/m) + m - x >= 0, by its series in
+    # v = (x - m)/(x + m) where the two parts cancel
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    total = (x - m) * v
+    term = 2.0 * x * v
+    v *= v
+    j = 1
+    while True:
+        term *= v
+        grown = total + term / (2 * j + 1)
+        if grown == total:
+            return total
+        total = grown
+        j += 1
 
 
 def lerch_phi(z: float, s: int, a: float, eps: float = 1e-12) -> float:

@@ -484,6 +484,13 @@ class TestWindowMassAccuracy:
             if true > 1e-300:
                 assert disc.probs[i] == pytest.approx(true, rel=1e-12, abs=0.0), k
 
+    def test_incomplete_gamma_window_at_a_large_shape(self):
+        # ~8 sd left of the mode, a difference of P: with the prefactor as
+        # u log(v) - v - lgamma(u), whose terms cancel, it was 6.8e-13 off
+        g = GammaApprox(shape=409.0, scale=0.0579, kind="test")
+        mass = discretize_gamma(g, 15, 15, renormalize=False).probs[0]
+        assert mass == pytest.approx(mpmath_window_mass(409.0, 0.0579, 15), rel=1e-13, abs=0.0)
+
 
 class TestInequalityCheck:
     def test_small_rate_set(self):
