@@ -9,11 +9,12 @@ For x = 0 the likelihood collapses to exp(-rate * k) on k >= 0, a geometric
 distribution.  A table starts at the mode and is truncated on both sides
 under rigorous geometric tail bounds, so it covers k_min .. k_max with
 k_min >= x: about 7 sd around the mode for large x at eps_tail = 1e-10.
-The log-weights are evaluated in numpy blocks that carry a streaming
-log-sum-exp (running max and scaled partial sum) from one block to the
-next, so the stopping terms are found without leaving log space and tables
-for large x never leave it until the final normalization.  A table is
-capped at 10^7 entries; one that needs more is refused.
+The log-weights are evaluated in numpy blocks.  Each side's scan takes the
+weights scaled by the mode's, exp(lw - lw_mode), with a plain running sum
+carried from block to block, and the table's probabilities are those
+scaled weights divided by their own sum.  A table is capped at 10^7
+entries; one that needs more is refused, as is an eps_tail so small that
+the scaled weights at a cut would leave the normal floats.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _MAX_TERMS = 10**7
 _BLOCK = 16384
 _MOMENT_TAIL_CAP = 1e-6
 _LERCH_EPS = 1e-12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -84,51 +86,19 @@ class PosteriorTable:
         return float(np.divide(self.probs, ks, out=ks).sum())
 
 
-def _outward_cut(
-    run: np.ndarray, state: tuple[float, float], log_share: float
-) -> tuple[int, float, float]:
-    """First cut along a run of log-weights that leads away from the mode.
-
-    ``state`` holds the log of the running sum before ``run[0]`` and the
-    log-weight before it.  The tail bound at entry i is
-    log(t_i rho_i / (1 - rho_i) / S_i), where S_i is the running sum through
-    ``run[i]`` and rho_i = t_i / t_(i-1) the term ratio there (+inf while
-    rho_i >= 1).  Along log-concave weights the ratio only falls further
-    out, so the geometric series bounds every term past ``run[i]``.  Returns
-    the first j whose bound is under ``log_share``, with that bound and
-    log S_j, or -1 with the two values at the run's last entry.
-    """
-    log_before, prev = state
-    # run entries lie at most ~log(mode) above the first (t_k / k rises
-    # below the mode), so exp cannot overflow
-    top = max(log_before, float(run[0]))
-    log_partial = run - top  # one buffer for exp, the running sum and log
-    np.cumsum(np.exp(log_partial, out=log_partial), out=log_partial)
-    np.log(np.add(log_partial, math.exp(log_before - top), out=log_partial), out=log_partial)
-    log_partial += top
-    step = np.empty_like(run)
-    step[0] = run[0] - prev
-    np.subtract(run[1:], run[:-1], out=step[1:])
-    bound = run + step
-    bound -= log_partial
-    # t_i rho_i / S_i is under the bound: no entry before the first i where it
-    # passes (the last if none does) can pass, so only i on take 1/(1 - rho_i)
-    near = bound < log_share
-    i = int(near.argmax()) if near.any() else len(run) - 1
-    tail = np.minimum(step[i:], 0.0, out=step[i:])
-    with np.errstate(divide="ignore"):  # a step of 0 gives log(0) = -inf
-        bound[i:] -= np.log(np.negative(np.expm1(tail, out=tail), out=tail), out=tail)
-    cut = np.less(bound[i:], log_share, out=near[i:])
-    j = i + int(cut.argmax()) if cut.any() else -1
-    return j, float(bound[j]), float(log_partial[j])
-
-
-def _limit_error(evaluated: int, x: int, eps_tail: float, log_bound: float) -> NumericError:
-    achieved = math.exp(log_bound) if log_bound < 709.0 else math.inf
+def _limit_error(evaluated: int, x: int, eps_tail: float, achieved: float) -> NumericError:
     return NumericError(
         f"posterior table size limit of {_MAX_TERMS} entries reached: "
         f"{evaluated} terms evaluated at x={x}, eps_tail={eps_tail}; "
         f"achieved tail bound {achieved:.3e}"
+    )
+
+
+def _floor_error(x: int, eps_tail: float, share: float) -> PrecisionError:
+    return PrecisionError(
+        f"eps_tail={eps_tail} is below the float floor at x={x}: its side share "
+        f"{share:.3e} puts the weights at a cut, scaled by the mode's, under "
+        f"the smallest normal float; use a larger eps_tail"
     )
 
 
@@ -145,8 +115,8 @@ def exact_posterior(
     The table starts at the mode, the root of 1/k + (x-1)/(k+g) = rate
     rounded and clipped to k >= x (0 at x = 0), and grows outward on both
     sides.  For w > 0 the weights t_k are log-concave, so the term ratio at
-    a side's edge bounds everything past it by a geometric series
-    (``_outward_cut``).  Each side gets a share of ``eps_tail``: half of
+    a side's edge bounds everything past it by a geometric series.  Each
+    side gets a share of ``eps_tail``: half of
     it, or w eps_tail when x > 0 and w < 1/2, so that ``dropped_term_ratio``
     stays within ``eps_tail`` of the untruncated ratio (see below):
 
@@ -161,7 +131,9 @@ def exact_posterior(
       share.
 
     ``tail_bound`` is the sum of the two bounds relative to the table's
-    sum.  Probabilities are normalized over the truncated support.
+    sum.  Probabilities are the weights scaled by the mode's,
+    exp(log_weights - lw_mode), over their own sum S, so they sum to 1
+    within a few ulp; ``log_normalizer`` is lw_mode + log S.
 
     The log-weights are evaluated in numpy blocks of at most ``_BLOCK``
     terms (128 kB of log-weights).  The first block is centred on the mode
@@ -170,10 +142,10 @@ def exact_posterior(
     the right, where the posterior's tail is heavier (a gamma's upper
     quantile lies ~2/3 D/rate beyond the normal one), so one block holds
     both cuts of nearly every table that fits in it.  A side that has not
-    stopped grows by blocks of the first block's reach.  Each side carries
-    its running log-sum-exp from block to block, so every term is tested as
-    a per-term loop would test it, and the normalizer is summed once over
-    the finished table: the table does not depend on the block size.
+    stopped grows by blocks of the first block's reach.  Each side tests
+    its weights scaled by the mode's, with their running sum added in order
+    from block to block, so every term is tested as a per-term loop would
+    test it: the table does not depend on the block size.
 
     The two sides together evaluate at most ``_MAX_TERMS`` (10^7) entries,
     ~80 MB of log-weights; a table that needs more is refused, not
@@ -185,6 +157,8 @@ def exact_posterior(
         NumericError: if a side has not stopped within ``_MAX_TERMS``
             terms; the message gives the terms evaluated and the tail bound
             achieved at that side's edge.
+        PrecisionError: if the scaled weights at a cut would be subnormal:
+            at a side share under 2.2e-308, or a little above it.
     """
     if x < 0:
         raise DomainError(f"x must be a non-negative integer, got x={x}")
@@ -217,7 +191,10 @@ def exact_posterior(
     # Dropping the tails moves E[1/k] by at most the larger share
     # (relative; the left cut raises it, the right cut lowers it), and
     # dropped_term_ratio by that times 1/(1 + g E[1/k]) <= 1/w when g < 0.
-    log_share = math.log(eps_tail * (min(0.5, params.w) if x > 0 else 0.5))
+    share = eps_tail * (min(0.5, params.w) if x > 0 else 0.5)
+    if share < _TINY:
+        raise _floor_error(x, eps_tail, share)
+    log_share = math.log(share)
     sd = math.sqrt(x + 1.0) / rate
     spread = math.ceil(math.sqrt(-2.0 * log_share) * sd) + 64
     reach = spread + math.ceil(-0.75 * log_share / rate)
@@ -231,9 +208,32 @@ def exact_posterior(
     right_of_mode = lw[i + 1 :]
     lw_mode = float(lw[i])
 
+    def cut(run: np.ndarray, prev: float, total: float) -> tuple[int, float, float]:
+        # First cut along a run of log-weights leading away from the mode,
+        # after ``prev``, with ``total`` the sum of the scaled weights
+        # e = exp(lw - lw_mode) before run[0].  Log-concave weights fall ever
+        # faster, so with S_j the running sum and rho_j = e_j / e_(j-1),
+        # e_j rho_j / (1 - rho_j) bounds the terms past e_j.  Returns the
+        # first j with (e_j / S_j) rho_j < share (1 - rho_j), the log of that
+        # bound (inf while rho_j >= 1, else 1 - rho_j = -expm1(step)) and
+        # S_j, or -1 with both at the run's last entry.
+        e = np.exp(np.concatenate(([prev], run)) - lw_mode)
+        sums = np.cumsum(np.concatenate(([total], e[1:])))  # in order, whatever the block
+        # the test ends at the first subnormal weight
+        n = int((e < _TINY).argmax()) if e[-1] < _TINY else len(e)
+        rho = e[1:n] / e[: n - 1]
+        passed = rho * e[1:n] < share * (1.0 - rho) * sums[1:n]
+        hit = passed.any()
+        if not hit and n < len(e):
+            raise _floor_error(x, eps_tail, share)
+        j = int(passed.argmax()) if hit else len(run) - 1
+        step = float(run[j]) - (float(run[j - 1]) if j else prev)
+        log_bound = math.inf if step >= 0.0 else float(run[j]) + step - math.log(-math.expm1(step))
+        return (j if hit else -1), log_bound, float(sums[j + 1])
+
     # Left side, k = mode, mode - 1, ...: the bound on the terms t_j / j
     # decides, as sum_(j<k) t_j <= (k-1) sum_(j<k) t_j / j.
-    k_min, log_left, log_sum = x, -math.inf, lw_mode
+    k_min, log_left, total = x, -math.inf, 1.0
     scan = mode > x
     if scan and lo == x:
         # With the whole left side in this block, test k = x + 1 first: its
@@ -242,24 +242,24 @@ def exact_posterior(
         # s = u / (t_(x+2)/(x+2)), and sum_(x+1..mode) t_j / j is under
         # sum_(x..mode) t_j / (x+1): unless u s passes against that,
         # nothing is cut.
-        log_sum = lw_mode + math.log(float(np.exp(lw[: i + 1] - lw_mode).sum()))
+        total = float(np.exp(lw[: i + 1] - lw_mode).sum())
         lu = lw[1:3] - log_k[1:3]  # log(t_k / k) at k = x + 1, x + 2
+        log_sum = lw_mode + math.log(total)  # of t over x .. mode
         scan = mode > x + 1 and 2 * lu[0] - lu[1] < log_share + log_sum - math.log(x + 1)
     if scan:
         mass, first = lw[i::-1], mode
         run = mass - log_k[i::-1]  # log(t_k / k)
-        state, log_sum = (-math.inf, -math.inf), -math.inf
+        # the mode's own value as the one before it: a ratio of 1, no cut
+        prev, partial, total = float(run[0]), 0.0, 0.0
         while True:
-            j, log_bound, log_partial = _outward_cut(run, state, log_share)
+            j, log_bound, partial = cut(run, prev, partial)
             kept = mass[: j + 1] if j >= 0 else mass
-            top = max(log_sum, float(kept[0]))  # t falls away from the mode
-            log_sum = top + math.log(math.exp(log_sum - top) + float(np.exp(kept - top).sum()))
+            total += float(np.exp(kept - lw_mode).sum())
             if j >= 0 or lo == x:
                 break
             if hi - lo >= _MAX_TERMS:
-                raise _limit_error(hi - lo, x, eps_tail, log_bound)
-            state = (log_partial, float(run[-1]))
-            first, stop = lo - 1, lo
+                raise _limit_error(hi - lo, x, eps_tail, math.exp(log_bound - lw_mode) / partial)
+            prev, first, stop = float(run[-1]), lo - 1, lo
             lo = max(x, lo - grow, hi - _MAX_TERMS)
             lw, log_k = evaluate(lo, stop)
             blocks.insert(0, lw)
@@ -267,26 +267,25 @@ def exact_posterior(
             run = mass - log_k[::-1]
         if j >= 0 and first - j > x:
             k_min = first - j
-            log_left = math.log(k_min - 1) + (log_bound + log_partial)
+            log_left = math.log(k_min - 1) + log_bound
         del mass, kept  # views into the blocks
 
     # Right side, k = mode + 1, ..., relative to the whole table so far.
-    run, first, state = right_of_mode, mode + 1, (log_sum, lw_mode)
+    run, first, prev = right_of_mode, mode + 1, lw_mode
     log_bound = math.inf  # the first block may end at the mode (a block of one)
     while True:
         if run.size:
-            j, log_bound, log_partial = _outward_cut(run, state, log_share)
+            j, log_bound, total = cut(run, prev, total)
             if j >= 0:
                 break
-            state = (log_partial, float(run[-1]))
+            prev = float(run[-1])
         if hi - lo >= _MAX_TERMS:
-            raise _limit_error(hi - lo, x, eps_tail, log_bound)
+            raise _limit_error(hi - lo, x, eps_tail, math.exp(log_bound - lw_mode) / total)
         first, start = hi, hi
         hi = min(hi + grow, lo + _MAX_TERMS)
         run = evaluate(start, hi)[0]
         blocks.append(run)
     k_max = first + j
-    log_right = log_bound + log_partial
 
     # k_min lies in the first block and k_max in the last: copy just k_min ..
     # k_max, with no other array alive, and drop the blocks before probs
@@ -295,10 +294,11 @@ def exact_posterior(
     blocks[-1] = blocks[-1][: len(blocks[-1]) - (hi - 1 - k_max)]
     lws = np.concatenate(blocks)
     del blocks
-    peak = float(lws.max())
-    probs = np.subtract(lws, peak)  # one buffer for exp(lws - peak), then probs
-    log_normalizer = peak + math.log(float(np.exp(probs, out=probs).sum()))
-    np.exp(np.subtract(lws, log_normalizer, out=probs), out=probs)
+    probs = np.subtract(lws, lw_mode)
+    np.exp(probs, out=probs)
+    total = float(probs.sum())
+    probs /= total
+    log_normalizer = lw_mode + math.log(total)
     return PosteriorTable(
         params=params,
         x=x,
@@ -306,8 +306,7 @@ def exact_posterior(
         k_max=k_max,
         log_weights=lws,
         probs=probs,
-        tail_bound=math.exp(log_left - log_normalizer)
-        + math.exp(log_right - log_normalizer),
+        tail_bound=math.exp(log_left - log_normalizer) + math.exp(log_bound - log_normalizer),
         log_normalizer=log_normalizer,
     )
 

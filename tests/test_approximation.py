@@ -393,7 +393,7 @@ class TestWindowMassAccuracy:
         # sd of the gamma the table spans
         table = exact_posterior(derive_params(*TINY_RATE), 0)
         g = build_gamma("moment_matched", table)
-        assert (g.shape, g.scale) == (0.9900498592156959, 100.50083062714272)
+        assert (g.shape, g.scale) == (0.9900498592156961, 100.50083062714273)
         assert (table.k_min, table.k_max) == (0, 2371)
         nodes = _nodes_per_window(g, table.k_min, table.k_max)
         assert nodes[401 - table.k_min :] == [3] * (2371 - 400)
@@ -419,7 +419,7 @@ class TestWindowMassAccuracy:
     # the theorem1 gamma of rate 0.105, x = 10: its 3-point run is empty
     @example(shape=11.0, log_scale=math.log(9.512294245007139))
     # the moment_matched gamma of rate 0.01, x = 0: a 3-point run from 401
-    @example(shape=0.9900498592156959, log_scale=math.log(100.50083062714272))
+    @example(shape=0.9900498592156961, log_scale=math.log(100.50083062714273))
     def test_rule_runs_are_ordered_disjoint_pieces(self, shape, log_scale):
         # _window_masses takes each piece once, by its rule: the calm run
         # alone, or split around a non-empty 3-point run
@@ -445,7 +445,7 @@ class TestWindowMassAccuracy:
     @example(shape=100.0, log_scale=math.log(30.0))
     # the moment_matched gamma of rate 0.01, x = 0: a 3-point run from 401
     # at shape < 1
-    @example(shape=0.9900498592156959, log_scale=math.log(100.50083062714272))
+    @example(shape=0.9900498592156961, log_scale=math.log(100.50083062714273))
     def test_3_point_run_ends_keep_the_remainder_bound(self, shape, log_scale):
         # the windows at either end of a 3-point run come nearest its corner,
         # where the remainder estimate is largest: the rule, without
@@ -485,8 +485,8 @@ class TestWindowMassAccuracy:
                 assert disc.probs[i] == pytest.approx(true, rel=1e-12, abs=0.0), k
 
     def test_incomplete_gamma_window_at_a_large_shape(self):
-        # ~8 sd left of the mode, a difference of P: with the prefactor as
-        # u log(v) - v - lgamma(u), whose terms cancel, it was 6.8e-13 off
+        # ~8 sd left of the mode, a difference of P, whose prefactor taken as
+        # u log(v) - v - lgamma(u) would cancel to 2.5e-13
         g = GammaApprox(shape=409.0, scale=0.0579, kind="test")
         mass = discretize_gamma(g, 15, 15, renormalize=False).probs[0]
         assert mass == pytest.approx(mpmath_window_mass(409.0, 0.0579, 15), rel=1e-13, abs=0.0)

@@ -75,6 +75,17 @@ def test_bad_eps_tail_exits_one(eps, capsys):
     assert "eps_tail" in capsys.readouterr().err
 
 
+def test_eps_tail_below_the_float_floor_exits_one(capsys):
+    # x = 3 of the b=0.5 reference set: refused below eps_tail 5.44e-308,
+    # where its side share meets the smallest normal float
+    argv = ["posterior", "-a", "1.5", "-b", "0.5", "-c", "-0.05", "-x", "3", "--eps-tail"]
+    assert cli.main([*argv, "5e-308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps_tail=5e-308 ")
+    assert cli.main([*argv, "6e-308"]) == 0
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [

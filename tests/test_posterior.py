@@ -207,8 +207,8 @@ class TestBlockedEngine:
         params, x = _domain_point(b, m, x, 20_000)
         self._check_against_the_streaming_loop(params, x, 10.0**log10_eps)
 
-    # the cuts agree (815 .. 3011), but the tail bounds are 1.6e-12 apart
-    # relative, as the log-weights are summed uncentred
+    # the cuts agree (815 .. 3011), but the tail bounds are 1.613e-12 apart
+    # relative, as both take them from uncentred log-weights near 4,000
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: uncentred log-weights")
     def test_streaming_loop_at_the_known_draw(self):
         b = m = 0.27780012306874324
@@ -270,6 +270,40 @@ class TestTwoSidedCut:
         if x > 0:  # the 1/k-weighted sum behind dropped_term_ratio
             inverse = weights / ks
             assert inverse[below].sum() <= share * inverse.sum()
+
+
+class TestFloatFloor:
+    """Shares at the bottom of the float range: a table is answered while
+    the weights at each cut, scaled by the mode's, stay normal floats."""
+
+    # x = 3 of the b=0.5 reference set: the side share eps_tail * w, w = 0.409,
+    # falls under the smallest normal float, 2.2e-308, at eps_tail 5.44e-308
+    REF = (1.5, 0.5, -0.05)
+
+    def test_just_above_the_floor_each_side_drops_at_most_its_share(self):
+        params, eps = derive_params(*self.REF), 6e-308
+        table = exact_posterior(params, 3, eps)
+        assert table.tail_bound <= eps
+        ks, weights = brute_posterior_weights(params, 3)
+        share = eps * min(0.5, params.w)
+        assert weights[: table.k_min - 3].sum() <= share * weights.sum()
+        assert weights[table.k_max - 3 + 1 :].sum() <= share * weights.sum()
+        inverse = weights / ks
+        assert inverse[: table.k_min - 3].sum() <= share * inverse.sum()
+
+    def test_just_below_the_floor_is_refused(self):
+        with pytest.raises(PrecisionError, match="eps_tail=5e-308"):
+            exact_posterior(derive_params(*self.REF), 3, 5e-308)
+
+    def test_a_cut_whose_scaled_weights_underflow_is_refused(self):
+        # rate 0.1, x = 1000: the left side's t_k / k, scaled by the mode's,
+        # leave the normal floats first, at eps_tail 3.8e-306 (share 1.9e-306)
+        params = derive_params(0.0, 0.1, 0.0)
+        table = exact_posterior(params, 1000, 4e-306)
+        assert table.k_min > 1000
+        assert table.tail_bound <= 4e-306
+        with pytest.raises(PrecisionError, match="eps_tail=3.7e-306"):
+            exact_posterior(params, 1000, 3.7e-306)
 
 
 class TestPosteriorMoments:

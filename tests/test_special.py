@@ -58,8 +58,8 @@ class TestRegLowerIncGamma:
     @pytest.mark.parametrize("d", [-10.0, -3.0, 0.0])
     def test_large_shape_near_the_mean(self, u, d):
         # v = u + d sqrt(u): the series takes up to about 8.5 sqrt(u) terms
-        # here, whose roundoff sets the bound (3.1e-14 at worst).  The
-        # prefactor u log(v) - v - lgamma(u) cost up to 1.2e-9 at u = 10^6.
+        # here, whose roundoff sets the bound (3.1e-14 at worst); a prefactor
+        # taken as u log(v) - v - lgamma(u) would cancel to 1.2e-9.
         v = u + d * math.sqrt(u)
         with mpmath.workdps(30):
             true = float(mpmath.gammainc(mpmath.mpf(u), 0, mpmath.mpf(v), regularized=True))

@@ -499,10 +499,10 @@ class TestWindowingRateAtPoissonPoint:
         ratio = compare(table, disc).tv / b**2
         assert ratio == pytest.approx(windowing_tv_constant(x), rel=1e-4)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: kl takes the pmfs' rounding from 1")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: kl's terms round below 0")
     def test_kl_is_non_negative(self):
-        # far below the pmfs' rounding from 1, which kl takes in full: 14 of
-        # these 64 reports print a negative kl, down to -5.6e-13
+        # far below the rounding of kl's terms p log(p/q): 3 of these 64
+        # reports print a negative kl, down to -1.7e-16
         kls = []
         for x in (1, 10, 100, 1000):
             for b in (0.1, 0.05, 0.025, 0.0125):
