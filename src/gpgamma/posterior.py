@@ -9,12 +9,12 @@ For x = 0 the likelihood collapses to exp(-rate * k) on k >= 0, a geometric
 distribution.  A table starts at the mode and is truncated on both sides
 under rigorous geometric tail bounds, so it covers k_min .. k_max with
 k_min >= x: about 7 sd around the mode for large x at eps_tail = 1e-10.
-The log-weights are evaluated in numpy blocks.  Each side's scan takes the
+The log-weights are evaluated in numpy blocks; each side's scan takes the
 weights scaled by the mode's, exp(lw - lw_mode), with a plain running sum
-carried from block to block, and the table's probabilities are those
-scaled weights divided by their own sum.  A table is capped at 10^7
-entries; one that needs more is refused, as is an eps_tail so small that
-the scaled weights at a cut would leave the normal floats.
+carried between blocks, and the probabilities are the scaled weights over
+their own sum.  A table is capped at 10^7 entries; one that needs more is
+refused, as is an eps_tail so small that the scaled weights at a cut would
+leave the normal floats.
 """
 
 from __future__ import annotations
@@ -96,9 +96,8 @@ def _limit_error(evaluated: int, x: int, eps_tail: float, achieved: float) -> Nu
 
 def _floor_error(x: int, eps_tail: float, share: float) -> PrecisionError:
     return PrecisionError(
-        f"eps_tail={eps_tail} is below the float floor at x={x}: its side share "
-        f"{share:.3e} puts the weights at a cut, scaled by the mode's, under "
-        f"the smallest normal float; use a larger eps_tail"
+        f"eps_tail={eps_tail} is below the float floor at x={x}: a side share of "
+        f"{share:.3e} leaves the weights at a cut, scaled by the mode's, subnormal"
     )
 
 
@@ -213,16 +212,17 @@ def exact_posterior(
         # after ``prev``, with ``total`` the sum of the scaled weights
         # e = exp(lw - lw_mode) before run[0].  Log-concave weights fall ever
         # faster, so with S_j the running sum and rho_j = e_j / e_(j-1),
-        # e_j rho_j / (1 - rho_j) bounds the terms past e_j.  Returns the
-        # first j with (e_j / S_j) rho_j < share (1 - rho_j), the log of that
-        # bound (inf while rho_j >= 1, else 1 - rho_j = -expm1(step)) and
-        # S_j, or -1 with both at the run's last entry.
+        # e_j rho_j / (1 - rho_j) bounds the terms past e_j.  Returns the first
+        # j with (e_j / S_j) rho_j < share (1 - rho_j), the log of that bound
+        # (1 - rho_j = -expm1(step)) and S_j, or -1 with both at the run's end.
         e = np.exp(np.concatenate(([prev], run)) - lw_mode)
         sums = np.cumsum(np.concatenate(([total], e[1:])))  # in order, whatever the block
         # the test ends at the first subnormal weight
         n = int((e < _TINY).argmax()) if e[-1] < _TINY else len(e)
         rho = e[1:n] / e[: n - 1]
-        passed = rho * e[1:n] < share * (1.0 - rho) * sums[1:n]
+        lhs = np.multiply(rho, e[1:n], out=e[1:n])
+        lhs /= sums[1:n]
+        passed = lhs < np.multiply(np.subtract(1.0, rho, out=rho), share, out=rho)
         hit = passed.any()
         if not hit and n < len(e):
             raise _floor_error(x, eps_tail, share)
