@@ -45,7 +45,7 @@ _MAX_TERMS = 10**7
 _BLOCK = 16384
 _MOMENT_TAIL_CAP = 1e-6
 _LERCH_EPS = 1e-12
-_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_TINY = 2.2250738585072014e-308  # the smallest normal float, sys.float_info.min
 
 
 @dataclass(frozen=True)
