@@ -28,7 +28,6 @@ from .errors import (
 from .model import ModelParams, derive_params
 from .posterior import (
     PosteriorTable,
-    denominator_lerch,
     exact_posterior,
     posterior_moments,
 )
@@ -37,6 +36,7 @@ from .validation import (
     SweepResult,
     compare,
     compare_kinds,
+    denominator_lerch,
     full_support_tv,
     sweep,
     verify_lerch_denominator,

@@ -27,11 +27,9 @@ import numpy as np
 
 from .errors import DomainError, NumericError, PrecisionError
 from .model import ModelParams
-from .special import lerch_phi
 
 __all__ = [
     "PosteriorTable",
-    "denominator_lerch",
     "exact_posterior",
     "posterior_moments",
     "window_moments",
@@ -44,7 +42,6 @@ _MAX_TERMS = 10**7
 # take a few buffers of that size.
 _BLOCK = 16384
 _MOMENT_TAIL_CAP = 1e-6
-_LERCH_EPS = 1e-12
 _TINY = 2.2250738585072014e-308  # the smallest normal float, sys.float_info.min
 
 
@@ -340,27 +337,3 @@ def window_moments(k_min: int, probs: np.ndarray) -> tuple[float, float]:
     dev -= mu
     return mu, float(np.multiply(np.square(dev, out=dev), probs, out=dev).sum())
 
-
-def denominator_lerch(params: ModelParams, x: int) -> float:
-    """Posterior normalizer for x >= 1 in its Lerch-transcendent form.
-
-    Evaluates
-
-        e^(-rate*x) * [Phi(z, -x, w*x) - (w-1)*x * Phi(z, -(x-1), w*x)]
-
-    with z = e^(-rate), which equals the direct series
-    sum_{j>=x} j (j+g)^(x-1) e^(-rate*j) up to the relative summation
-    tolerance 1e-12 of each Lerch evaluation.  At large x (from x = 95 at
-    rate 0.105) a Lerch term overflows and ``NumericError`` is raised.
-    """
-    if x < 1:
-        raise DomainError(f"the Lerch form needs x >= 1, got x={x}")
-    if params.w <= 0.0:
-        raise DomainError(
-            f"the Lerch form needs w*x > 0, got w={params.w} at x={x}"
-        )
-    z = math.exp(-params.rate)
-    a = params.w * x
-    first = lerch_phi(z, -x, a, _LERCH_EPS)
-    second = (params.w - 1.0) * x * lerch_phi(z, -(x - 1), a, _LERCH_EPS)
-    return math.exp(-params.rate * x) * (first - second)

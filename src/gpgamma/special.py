@@ -1,8 +1,7 @@
 """Scalar special-function kernel.
 
-The regularized lower and upper incomplete gamma functions and the Lerch
-transcendent for non-positive integer order.  All functions are pure and
-may be called concurrently from any number of threads.
+The regularized lower and upper incomplete gamma functions.  Both are pure
+and may be called concurrently from any number of threads.
 """
 
 from __future__ import annotations
@@ -13,14 +12,12 @@ import sys
 from .errors import DomainError, NumericError
 
 __all__ = [
-    "lerch_phi",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
 ]
 
 _EPS = sys.float_info.epsilon
 _INC_GAMMA_MAX_ITER = 500
-_LERCH_MAX_TERMS = 1_000_000
 _TINY = 1e-300
 _MIN_SHIFT = -math.log(sys.float_info.max)
 # Loader's series for stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi)/2,
@@ -163,55 +160,4 @@ def _bd0(x: float, m: float) -> float:
             return total
         total = grown
         j += 1
-
-
-def lerch_phi(z: float, s: int, a: float, eps: float = 1e-12) -> float:
-    """Lerch transcendent Phi(z, s, a) = sum_{k>=0} z^k (a+k)^(-s).
-
-    Supported domain: 0 < z < 1, integer s <= 0, a > 0.  With s = -h the
-    terms are z^k (a+k)^h, a polynomial-times-geometric sequence whose term
-    ratio z*((a+k+1)/(a+k))^h decreases monotonically towards z.  Once the
-    ratio falls below r = (1+z)/2 < 1 the remaining tail is bounded by
-    term * r/(1-r); summation stops when that bound drops below ``eps``
-    times the partial sum.
-
-    Raises:
-        DomainError: for arguments outside the supported domain.
-        NumericError: on overflow or if the term cap is exhausted (z too
-            close to 1 for the requested ``eps``).
-    """
-    if not math.isfinite(z) or abs(z) >= 1.0:
-        raise DomainError(f"lerch_phi requires |z| < 1, got z={z!r}")
-    if z <= 0.0:
-        raise DomainError(f"lerch_phi supports 0 < z < 1 only, got z={z!r}")
-    if s != int(s) or s > 0:
-        raise DomainError(f"lerch_phi supports integer s <= 0 only, got s={s!r}")
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"lerch_phi requires a > 0, got a={a!r}")
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got eps={eps!r}")
-
-    h = -int(s)
-    r = 0.5 * (1.0 + z)
-    tail_factor = r / (1.0 - r)
-    partial = 0.0
-    zk = 1.0
-    for k in range(_LERCH_MAX_TERMS):
-        try:
-            term = zk * (a + k) ** h
-        except OverflowError:
-            term = math.inf
-        if not math.isfinite(term):
-            raise NumericError(
-                f"lerch_phi term overflowed at k={k} for z={z}, s={s}, a={a}"
-            )
-        partial += term
-        ratio = z * ((a + k + 1.0) / (a + k)) ** h
-        if ratio <= r and term * tail_factor < eps * partial:
-            return partial
-        zk *= z
-    raise NumericError(
-        f"lerch_phi did not converge within {_LERCH_MAX_TERMS} terms "
-        f"for z={z}, s={s}, a={a}, eps={eps}"
-    )
 

@@ -1,9 +1,9 @@
 """Distance metrics, identity cross-checks, and parameter-grid sweeps.
 
 ``compare`` quantifies how well a discretized gamma approximation tracks an
-exact posterior table; ``verify_lerch_denominator`` checks the Lerch form
-of the posterior normalizer against the engine's; ``sweep`` drives
-``compare`` over a grid.
+exact posterior table; ``denominator_lerch`` writes the posterior
+normalizer in its Lerch-transcendent form and ``verify_lerch_denominator``
+checks it against the engine's; ``sweep`` drives ``compare`` over a grid.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .posterior import (
     _MOMENT_TAIL_CAP,
     PosteriorTable,
     _check_eps_tail,
-    denominator_lerch,
     exact_posterior,
     posterior_moments,
     window_moments,
@@ -41,6 +40,7 @@ __all__ = [
     "SweepResult",
     "compare",
     "compare_kinds",
+    "denominator_lerch",
     "full_support_tv",
     "sweep",
     "verify_lerch_denominator",
@@ -48,6 +48,7 @@ __all__ = [
 
 _KL_FLOOR = 1e-300
 _REFERENCE_EPS_TAIL = 1e-16
+_LERCH_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,59 @@ def full_support_tv(exact: PosteriorTable, g: GammaApprox) -> float:
     below = reg_lower_inc_gamma(g.shape, max(exact.k_min - 0.5, 0.0) / g.scale)
     above = reg_upper_inc_gamma(g.shape, (exact.k_max + 0.5) / g.scale)
     return 0.5 * (float(np.abs(exact.probs - disc.probs).sum()) + below + above)
+
+
+def denominator_lerch(params: ModelParams, x: int) -> float:
+    """Posterior normalizer for x >= 1 in its Lerch-transcendent form.
+
+    Evaluates
+
+        e^(-rate*x) * [Phi(z, -x, w*x) - (w-1)*x * Phi(z, -(x-1), w*x)]
+
+    with z = e^(-rate), which equals the direct series
+    sum_{j>=x} j (j+g)^(x-1) e^(-rate*j) up to the relative summation
+    tolerance 1e-12 of each Lerch series.  At large x (from x = 95 at
+    rate 0.105) a Lerch term overflows and ``NumericError`` is raised.
+    """
+    if x < 1:
+        raise DomainError(f"the Lerch form needs x >= 1, got x={x}")
+    if params.w <= 0.0:
+        raise DomainError(
+            f"the Lerch form needs w*x > 0, got w={params.w} at x={x}"
+        )
+    z = math.exp(-params.rate)
+    a = params.w * x
+    first = _lerch_series(z, x, a)
+    second = (params.w - 1.0) * x * _lerch_series(z, x - 1, a)
+    return math.exp(-params.rate * x) * (first - second)
+
+
+def _lerch_series(z: float, h: int, a: float) -> float:
+    # Phi(z, -h, a) = sum_{k>=0} z^k (a+k)^h for 0 < z < 1, integer h >= 0
+    # and a > 0, which x >= 1 and w > 0 give.  The term ratio
+    # z ((a+k+1)/(a+k))^h falls towards z, so once it is under r = (1+z)/2
+    # the tail is at most term r/(1-r); the sum stops when that is under
+    # _LERCH_EPS of the partial sum, or refuses after 10^6 terms.  Below
+    # rate ~1e-16, r rounds to 1 and no tail bound exists.
+    r = 0.5 * (1.0 + z)
+    if r == 1.0:
+        raise NumericError(f"Lerch series has no tail bound at z={z}: (1 + z)/2 rounds to 1")
+    tail_factor = r / (1.0 - r)
+    partial = 0.0
+    zk = 1.0
+    for k in range(1_000_000):
+        try:
+            term = zk * (a + k) ** h
+        except OverflowError:
+            raise NumericError(
+                f"Lerch series term overflowed at k={k} for z={z}, h={h}, a={a}"
+            ) from None
+        partial += term
+        ratio = z * ((a + k + 1.0) / (a + k)) ** h
+        if ratio <= r and term * tail_factor < _LERCH_EPS * partial:
+            return partial
+        zk *= z
+    raise NumericError(f"Lerch series did not converge within 10^6 terms for z={z}, h={h}, a={a}")
 
 
 def verify_lerch_denominator(params: ModelParams, x: int) -> float:

@@ -281,6 +281,11 @@ def lerch_partial_sum(z: float, h: int, a: float, n_terms: int = 1_000_000) -> f
     return total
 
 
+def mpmath_lerch_phi(z: float, h: int, a: float) -> float:
+    """Phi(z, -h, a) from mpmath's Lerch transcendent at 30 digits: the full series."""
+    with mpmath.workdps(30):
+        return float(mpmath.lerchphi(mpmath.mpf(z), -h, mpmath.mpf(a)))
+
 def bernoulli_lerch_expansion(z: float, h: int, a: float, terms: int) -> float:
     """Phi(z, -h, a) by its Bernoulli-polynomial expansion, cut after ``terms`` corrections.
 

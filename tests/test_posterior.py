@@ -10,11 +10,11 @@ from gpgamma.errors import DomainError, NumericError, PrecisionError
 from gpgamma.model import derive_params
 from gpgamma.posterior import (
     PosteriorTable,
-    denominator_lerch,
     exact_posterior,
     posterior_moments,
     window_moments,
 )
+from gpgamma.validation import denominator_lerch
 
 from oracles import (
     brute_moments,

@@ -20,7 +20,6 @@ from gpgamma.approximation import (
 from gpgamma.errors import DomainError, NumericError, PrecisionError
 from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
-from gpgamma.special import lerch_phi
 from gpgamma.validation import (
     _KL_FLOOR,
     _dropped_term_ratio,
@@ -37,6 +36,7 @@ from oracles import (
     edge_point,
     masked_kl_terms,
     mpmath_dropped_term_ratio,
+    mpmath_lerch_phi,
     windowing_tv_constant,
 )
 
@@ -271,16 +271,22 @@ class TestVerifyLerchDenominator:
     def test_lerch_overflow_is_a_typed_refusal(self, abc, x):
         # the first x at which the Lerch terms overflow, at rates 0.105 and 0.71
         params = derive_params(*abc)
-        with pytest.raises(NumericError, match="lerch_phi term overflowed"):
+        with pytest.raises(NumericError, match="Lerch series term overflowed"):
             verify_lerch_denominator(params, x)
+
+    @pytest.mark.parametrize("b", [1e-17, 1e-16])
+    def test_rate_too_small_for_a_tail_bound_is_a_typed_refusal(self, b):
+        # z = e^(-rate) is 1 or (1 + z)/2 rounds to 1: no geometric tail bound
+        with pytest.raises(NumericError, match="no tail bound"):
+            verify_lerch_denominator(derive_params(0.0, b, 0.0), 2)
 
 
 def _expansion_error(abc, x, terms):
-    """Relative gap of the Bernoulli expansion of Phi(z, -x, w x), z = e^(-rate), from lerch_phi."""
+    """Relative gap of the Bernoulli expansion of Phi(z, -x, w x), z = e^(-rate), from mpmath's."""
     params = derive_params(*abc)
     z, a = math.exp(-params.rate), params.w * x
-    # tight reference so the gap is the expansion's, not the series'
-    reference = lerch_phi(z, -x, a, eps=1e-14)
+    # the full series at 30 digits, so the gap is the expansion's
+    reference = mpmath_lerch_phi(z, x, a)
     return abs(bernoulli_lerch_expansion(z, x, a, terms) - reference) / reference
 
 
