@@ -309,6 +309,9 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
         else:
             t_lo = sys.maxsize
         first, last = max(math.ceil(min(t_lo, sys.maxsize) + 0.5), 2), math.floor(t_hi - 0.5)
+        if first > last + 2:  # empty by more than the window each end may move
+            ends.append((first, last))
+            continue
         # rounding can leave an end a window off: settle it on the conditions
         if not fits(first, slope, t_min):
             first += 1
