@@ -145,8 +145,11 @@ def _stirlerr(n: float) -> float:
 
 def _bd0(x: float, m: float) -> float:
     # Loader's deviance x log(x/m) + m - x >= 0, by its series in
-    # v = (x - m)/(x + m) where the two parts cancel
+    # v = (x - m)/(x + m) where the two parts cancel; directly elsewhere,
+    # through the exact x - m when m/2 <= x <= 2m, where x/m would round
     if abs(x - m) >= 0.1 * (x + m):
+        if 0.5 * m <= x <= 2.0 * m:
+            return x * math.log1p((x - m) / m) + m - x
         return x * math.log(x / m) + m - x
     v = (x - m) / (x + m)
     total = (x - m) * v

@@ -491,6 +491,19 @@ class TestWindowMassAccuracy:
         mass = discretize_gamma(g, 15, 15, renormalize=False).probs[0]
         assert mass == pytest.approx(mpmath_window_mass(409.0, 0.0579, 15), rel=1e-13, abs=0.0)
 
+    # the worst windows within 9 sd over shapes {120, 300, 1000, 3000} x
+    # scales {0.05, 0.08, 0.12}; the first, at x/m = 1.4 in the prefactor's
+    # deviance, was 1.9e-13 off while x log(x/m) took the rounding of x/m
+    @pytest.mark.parametrize(
+        "shape,scale,k",
+        [(1000.0, 0.05, 36), (300.0, 0.05, 9), (3000.0, 0.08, 201), (3000.0, 0.05, 126),
+         (3000.0, 0.08, 278)],
+    )
+    def test_worst_large_shape_windows(self, shape, scale, k):
+        g = GammaApprox(shape=shape, scale=scale, kind="test")
+        mass = discretize_gamma(g, k, k, renormalize=False).probs[0]
+        assert mass == pytest.approx(mpmath_window_mass(shape, scale, k), rel=1e-13, abs=0.0)
+
 
 class TestInequalityCheck:
     def test_small_rate_set(self):
