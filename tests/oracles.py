@@ -286,6 +286,7 @@ def mpmath_lerch_phi(z: float, h: int, a: float) -> float:
     with mpmath.workdps(30):
         return float(mpmath.lerchphi(mpmath.mpf(z), -h, mpmath.mpf(a)))
 
+
 def bernoulli_lerch_expansion(z: float, h: int, a: float, terms: int) -> float:
     """Phi(z, -h, a) by its Bernoulli-polynomial expansion, cut after ``terms`` corrections.
 
