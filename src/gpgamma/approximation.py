@@ -35,11 +35,11 @@ __all__ = [
 KINDS = ("theorem1", "moment_matched")
 
 # Gauss-Legendre rules of 10 and 3 nodes for a window of width 1: each
-# node's offset from the window's centre and its weight, as (nodes, 1)
-# columns.  They are half of numpy.polynomial.legendre.leggauss(n), spelled
+# node's offset from the window's centre, as a (nodes, 1) column, and its
+# weight.  They are half of numpy.polynomial.legendre.leggauss(n), spelled
 # out so that importing this module does not load numpy.polynomial.
 _GL10, _GL3 = (
-    (0.5 * np.array(nodes)[:, None], 0.5 * np.array(weights)[:, None])
+    (0.5 * np.array(nodes)[:, None], 0.5 * np.array(weights))
     for nodes, weights in (
         ([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
           -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
@@ -364,10 +364,8 @@ def _gl_window_masses(
     smaller shapes it is (shape-1) log t - t/scale - log(Gamma(shape) scale^shape).
     The masses are evaluated with numpy in blocks of up to ``_GL_BLOCK``
     windows, laid out node-major, one row per node, in one workspace that
-    every block of the call reuses: every step is one in-place pass.  The
-    rows are added in numpy's pairwise order over a row of 10 (the 3-point
-    rule as if rows of weight 0 followed), so a window's mass
-    equals, bit for bit, the row sum of a (windows, 10) layout and does not
+    every block of the call reuses: every step is one in-place pass.  Each
+    window's weighted nodes are summed in node order, so its mass does not
     depend on its block.
     """
     nodes, weights = rule
@@ -408,19 +406,9 @@ def _gl_window_masses(
             f -= t
         f += lift
         np.exp(f, out=f)
-        f *= weights
-        window = out[start - first : stop - first]
-        if len(f) == 10:
-            # ((f0+f1)+(f2+f3)) + ((f4+f5)+(f6+f7)), then f8, then f9
-            f[0:8:2] += f[1:8:2]
-            f[0:8:4] += f[2:8:4]
-            f[0] += f[4]
-            f[0] += f[8]
-            row = f[9]
-        else:  # (f0+f1) + f2
-            f[0] += f[1]
-            row = f[2]
-        np.add(f[0], row, out=window)
+        window = np.multiply(f[0], weights[0], out=out[start - first : stop - first])
+        for row, weight in zip(f[1:], weights[1:]):
+            window += np.multiply(row, weight, out=row)
 
 
 def _check_epsilon(epsilon: float) -> None:

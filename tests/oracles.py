@@ -138,42 +138,38 @@ def windowing_tv_constant(x: int) -> float:
         return float((part(0, lo) - part(lo, hi) + part(hi, mpmath.inf)) / 48)
 
 
-def rowmajor_window_masses(
+def node_order_window_masses(
     g: GammaApprox, k_min: int, k_max: int, rule: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Gauss-Legendre masses of the windows k = max(k_min, 2) .. k_max by ``rule``.
 
-    ``rule`` is a (nodes, weights) pair on [-1, 1].  The row-major block loop
-    ``discretize_gamma`` replaced with its node-major kernel, on the same
-    log-density (about the mode for large shapes, with log(t/c) for log1p(u)
-    far left of it): each block is a (windows, 10) array of node slots, a
-    rule of fewer nodes' last slots of weight 0, reduced by a numpy row sum.
-    A row holds one window, so its value does not depend on the block it
-    falls in.
+    ``rule`` is a (nodes, weights) pair on [-1, 1].  Each window's density
+    at the rule's own nodes is taken on the kernel's log-density (about the
+    mode for large shapes, with log(t/c) for log1p(u) far left of it), one
+    row per window, and its weighted values are added in node order, so a
+    window's mass does not depend on the range it is asked in.
     """
-    first = max(k_min, 2)
-    probs = np.empty(max(k_max - first + 1, 0))
+    ks = np.arange(max(k_min, 2), k_max + 1)
     nodes, weights = rule
-    offsets, slots = np.zeros(10), np.zeros(10)
-    offsets[: len(nodes)], slots[: len(weights)] = 0.5 * nodes, 0.5 * weights
+    offsets = 0.5 * nodes
     rise = g.shape - 1.0
-    mode = rise * g.scale
-    whole = round(mode)
-    for start in range(first, k_max + 1, 4096):
-        stop = min(start + 4096, k_max + 1)
-        if g.shape > _GL_CENTRED_SHAPE:
-            ks = np.arange(start, stop)
-            u = ((ks - whole) / mode)[:, None] + (offsets + (whole - mode)) / mode
-            log1p_u = np.log1p(u)
-            far = ks <= _last_far_window(g)
-            log1p_u[far] = np.log((ks[far].astype(float)[:, None] + offsets) / mode)
-            log_f = (log1p_u - u) * rise + _log_peak(g)
-        else:
-            t = np.arange(start, stop, dtype=float)[:, None] + offsets
-            log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
-            log_f = rise * np.log(t) - t / g.scale - log_norm
-        probs[start - first : stop - first] = (np.exp(log_f) * slots).sum(axis=1)
-    return probs
+    if g.shape > _GL_CENTRED_SHAPE:
+        mode = rise * g.scale
+        whole = round(mode)
+        u = ((ks - whole) / mode)[:, None] + (offsets + (whole - mode)) / mode
+        log1p_u = np.log1p(u)
+        far = ks <= _last_far_window(g)
+        log1p_u[far] = np.log((ks[far].astype(float)[:, None] + offsets) / mode)
+        log_f = (log1p_u - u) * rise + _log_peak(g)
+    else:
+        t = ks.astype(float)[:, None] + offsets
+        log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
+        log_f = rise * np.log(t) - t / g.scale - log_norm
+    f = np.exp(log_f)
+    masses = f[:, 0] * (0.5 * weights[0])
+    for column, weight in zip(f.T[1:], 0.5 * weights[1:]):
+        masses += column * weight
+    return masses
 
 
 def direct_gp_pmf(params: ModelParams, k: int, x: int) -> float:

@@ -31,7 +31,7 @@ from oracles import (
     mpmath_gl3_window_mass,
     mpmath_window_mass,
     mpmath_window_pmf,
-    rowmajor_window_masses,
+    node_order_window_masses,
 )
 
 SMALL_RATE = (1.5, 0.1, -0.05)
@@ -352,7 +352,7 @@ class TestWindowMassAccuracy:
         scale=st.floats(min_value=0.5, max_value=500.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_node_major_kernel_equals_the_row_major_loop(
+    def test_node_major_kernel_equals_the_node_order_sum(
         self, block, k_min, length, shape, scale
     ):
         from numpy.polynomial.legendre import leggauss
@@ -368,7 +368,7 @@ class TestWindowMassAccuracy:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(approximation_mod, "_GL_BLOCK", block)
                 _gl_window_masses(g, first, masses, 0.0, rule)
-            np.testing.assert_array_equal(masses, rowmajor_window_masses(g, k_min, k_max, table))
+            np.testing.assert_array_equal(masses, node_order_window_masses(g, k_min, k_max, table))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_narrow_gamma_takes_one_kernel_pass(self, kind):
