@@ -20,6 +20,7 @@ leave the normal floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,6 +99,15 @@ def _floor_error(x: int, eps_tail: float, share: float) -> PrecisionError:
     )
 
 
+def _whole_count(x: int) -> int:
+    # x itself if an integer, a whole-number float as its int; else refused
+    if isinstance(x, numbers.Integral):
+        return x
+    if isinstance(x, numbers.Real) and float(x).is_integer():
+        return int(x)
+    raise DomainError(f"x must be a non-negative integer, got x={x}")
+
+
 def _check_eps_tail(eps_tail: float) -> None:
     if not 0.0 < eps_tail <= 1e-3:
         raise DomainError(f"eps_tail must lie in (0, 1e-3], got {eps_tail!r}")
@@ -156,6 +166,7 @@ def exact_posterior(
         PrecisionError: if the scaled weights at a cut would be subnormal:
             at a side share under 2.2e-308, or a little above it.
     """
+    x = _whole_count(x)
     if x < 0:
         raise DomainError(f"x must be a non-negative integer, got x={x}")
     _check_eps_tail(eps_tail)

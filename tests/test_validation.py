@@ -14,6 +14,7 @@ from gpgamma.approximation import (
     DiscretePmf,
     build_gamma,
     discretize_gamma,
+    inequality_check,
     moment_matched_gamma,
     theorem1_gamma,
 )
@@ -350,6 +351,16 @@ class TestSweep:
         assert "b must lie" in failed.error
         assert results[3].index == 2 and results[3].report is not None
 
+    def test_non_whole_count_gives_one_error_row(self):
+        results = sweep([(*SMALL_RATE, 2.5), (*SMALL_RATE, 3)])
+        assert [(r.index, r.kind) for r in results] == [
+            (0, None),
+            (1, "theorem1"),
+            (1, "moment_matched"),
+        ]
+        assert results[0].report is None and "x=2.5" in results[0].error
+        assert all(r.report is not None and r.error is None for r in results[1:])
+
     def test_window_failure_gives_one_error_row(self, monkeypatch):
         failed = []
 
@@ -369,6 +380,26 @@ class TestSweep:
         ]
         assert results[0].report is None and results[0].error == "window mass lost"
         assert all(r.report is not None and r.error is None for r in results[1:])
+
+
+COUNT_ENTRIES = [exact_posterior, theorem1_gamma, inequality_check]
+
+
+class TestCountRefusal:
+    """Every entry that takes the count x takes it as a whole number."""
+
+    @pytest.mark.parametrize(
+        "x", [2.5, math.nan, math.inf, np.float64(2.5)], ids=["2.5", "nan", "inf", "float64"]
+    )
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES, ids=lambda f: f.__name__)
+    def test_non_whole_count_is_refused(self, entry, x):
+        with pytest.raises(DomainError, match=f"x={x}"):
+            entry(derive_params(*SMALL_RATE), x)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES, ids=lambda f: f.__name__)
+    def test_whole_float_count_is_its_int(self, entry):
+        params = derive_params(*SMALL_RATE)
+        assert repr(entry(params, 3.0)) == repr(entry(params, 3))
 
 
 @pytest.fixture(scope="module")
