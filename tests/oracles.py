@@ -26,7 +26,7 @@ from gpgamma.approximation import _GL_CENTRED_SHAPE, GammaApprox, _last_far_wind
 from gpgamma.cli import SCHEMA_VERSION
 from gpgamma.errors import DomainError, NumericError
 from gpgamma.model import ModelParams, derive_params
-from gpgamma.posterior import PosteriorTable
+from gpgamma.posterior import PosteriorTable, posterior_moments
 
 
 def edge_point(b: float, gap: float) -> ModelParams:
@@ -136,6 +136,22 @@ def windowing_tv_constant(x: int) -> float:
 
         lo, hi = x - mpmath.sqrt(x), x + mpmath.sqrt(x)
         return float((part(0, lo) - part(lo, hi) + part(hi, mpmath.inf)) / 48)
+
+
+def skewness_law_tv(table: PosteriorTable) -> float:
+    """moment_matched's TV predicted from the posterior's skewness alone.
+
+    A gamma matched on mean and variance first differs from the posterior
+    in the third cumulant, so Edgeworth's first term gives
+    TV ~ E|He_3(Z)| / 12 * |gamma_post - 2 sigma/mu|, E|He_3(Z)| =
+    sqrt(2/pi) (1 + 4 e^(-3/2)), 2 sigma/mu the gamma's skewness and
+    gamma_post ~ 2/sqrt(x+1) the posterior's, with sigma and mu the table's
+    posterior sd and mean (P. Hall, "The Bootstrap and Edgeworth
+    Expansion", 1992, ch. 2).
+    """
+    mu, var = posterior_moments(table)
+    c = math.sqrt(2.0 / math.pi) * (1.0 + 4.0 * math.exp(-1.5)) / 12.0
+    return c * abs(2.0 / math.sqrt(table.x + 1.0) - 2.0 * math.sqrt(var) / mu)
 
 
 def node_order_window_masses(

@@ -9,9 +9,17 @@ rather than bytes, so numpy's own small allocations do not decide them.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from gpgamma.approximation import _GL3, _GL_BLOCK, KINDS, build_gamma, discretize_gamma
+from gpgamma.approximation import (
+    _GL3,
+    _GL_BLOCK,
+    KINDS,
+    _gl_window_masses,
+    build_gamma,
+    discretize_gamma,
+)
 from gpgamma.model import derive_params
 from gpgamma.posterior import exact_posterior, posterior_moments, window_moments
 from gpgamma.validation import compare
@@ -69,6 +77,19 @@ def test_discretize_gamma_peak(table, kind):
     workspace = 2 * len(_GL3[0]) * _GL_BLOCK * 8
     _, peak = _peak(lambda: discretize_gamma(g, table.k_min, table.k_max, renormalize=True))
     assert peak <= 1.5 * _arrays(table) + workspace
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_window_kernel_holds_its_workspace_and_few_rows(table, kind):
+    posterior_moments(table)
+    g = build_gamma(kind, table)
+    out = np.empty(len(table.probs))
+    # the (2, 3, block) workspace and a few block-sized rows (8 bytes per
+    # window of a block); weighting the block through a broadcast (nodes, 1)
+    # weight column held one more row's iterator buffer, 3.07 rows in all
+    workspace, row = 2 * len(_GL3[0]) * _GL_BLOCK * 8, _GL_BLOCK * 8
+    _, peak = _peak(lambda: _gl_window_masses(g, table.k_min, out, 0.0, _GL3))
+    assert peak <= workspace + 2.5 * row
 
 
 @pytest.mark.parametrize("kind", KINDS)

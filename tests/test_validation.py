@@ -38,6 +38,7 @@ from oracles import (
     masked_kl_terms,
     mpmath_dropped_term_ratio,
     mpmath_lerch_phi,
+    skewness_law_tv,
     windowing_tv_constant,
 )
 
@@ -550,3 +551,16 @@ class TestWindowingRateAtPoissonPoint:
                     kls += [rep.kl for rep in _reports(table)]
         assert len(kls) == 64
         assert min(kls) >= 0.0
+
+
+class TestSkewnessLaw:
+    # moment_matched's tv is its skewness gap |2/sqrt(x+1) - 2 sigma/mu|
+    # times 0.1258; the next Edgeworth terms fall as 1/x, so the law holds
+    # within 0.9-1.3% at x = 100 and 0.09-0.13% at x = 1000 here
+    @pytest.mark.parametrize("x,rel", [(100, 0.02), (1000, 0.002)])
+    @pytest.mark.parametrize("rate,sqrt_m", [(0.01, 0.998), (0.105, 1.0513), (0.71, 1.419)])
+    def test_moment_matched_tv_is_the_skewness_law(self, rate, sqrt_m, x, rel):
+        a, b = 1.5, rate / sqrt_m
+        table = exact_posterior(derive_params(a, b, 2.0 * math.log(sqrt_m) - a * b), x)
+        tv = {rep.kind: rep.tv for rep in _reports(table)}["moment_matched"]
+        assert tv == pytest.approx(skewness_law_tv(table), rel=rel)
