@@ -166,8 +166,7 @@ def node_order_window_masses(
     window's mass does not depend on the range it is asked in.
     """
     ks = np.arange(max(k_min, 2), k_max + 1)
-    nodes, weights = rule
-    offsets = 0.5 * nodes
+    offsets, weights = 0.5 * rule[0], 0.5 * rule[1]
     rise = g.shape - 1.0
     if g.shape > _GL_CENTRED_SHAPE:
         mode = rise * g.scale
@@ -182,8 +181,8 @@ def node_order_window_masses(
         log_norm = math.lgamma(g.shape) + g.shape * math.log(g.scale)
         log_f = rise * np.log(t) - t / g.scale - log_norm
     f = np.exp(log_f)
-    masses = f[:, 0] * (0.5 * weights[0])
-    for column, weight in zip(f.T[1:], 0.5 * weights[1:]):
+    masses = f[:, 0] * weights[0]
+    for column, weight in zip(f.T[1:], weights[1:]):
         masses += column * weight
     return masses
 
