@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams
-from .posterior import PosteriorTable, _whole_count, posterior_moments
+from .model import ModelParams, _count
+from .posterior import PosteriorTable, posterior_moments
 from .special import _stirlerr, reg_lower_inc_gamma, reg_upper_inc_gamma
 
 __all__ = [
@@ -133,9 +133,7 @@ def theorem1_gamma(params: ModelParams, x: int) -> GammaApprox:
     Mean (x+1)/(b*sqrt(m)) and variance (x+1)/(b^2 m); accurate in the
     small-rate regime.
     """
-    x = _whole_count(x)
-    if x < 0:
-        raise DomainError(f"x must be a non-negative integer, got x={x}")
+    x = _count(x)
     return GammaApprox(shape=float(x + 1), scale=1.0 / params.rate, kind="theorem1")
 
 
@@ -430,9 +428,7 @@ def inequality_check(
     side bounds the power-sum correction the approximation drops; the
     smaller epsilon is chosen, the stricter the diagnostic.
     """
-    x = _whole_count(x)
-    if x < 1:
-        raise DomainError(f"the diagnostic needs x >= 1, got x={x}")
+    x = _count(x, 1)
     _check_epsilon(epsilon)
     lhs = float(math.trunc((1.0 - params.sqrt_m + params.rate) * x))
     rhs = math.exp((math.lgamma(x + 1.0) + math.log(epsilon)) / (x + 1.0))

@@ -12,6 +12,7 @@ k b and k b / m.  At m = 1 the model is Poisson with mean k b.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -71,3 +72,12 @@ def derive_params(a: float, b: float, c: float) -> ModelParams:
         w=1.0 + (1.0 - sqrt_m) / rate,
     )
 
+
+
+def _count(x: int, least: int = 0) -> int:
+    # x as an int if a whole number in least .. 2**53, beyond which k and k + 1
+    # are no longer distinct floats; anything else is refused
+    if isinstance(x, numbers.Real) and (isinstance(x, numbers.Integral) or float(x).is_integer()):
+        if least <= x <= 2**53:
+            return int(x)
+    raise DomainError(f"x must be a non-negative integer in {least}..2**53, got x={x}")

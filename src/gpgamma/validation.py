@@ -24,7 +24,7 @@ from .approximation import (
     inequality_check,
 )
 from .errors import DomainError, NumericError, PrecisionError
-from .model import ModelParams, derive_params
+from .model import ModelParams, _count, derive_params
 from .posterior import (
     _MOMENT_TAIL_CAP,
     PosteriorTable,
@@ -192,8 +192,7 @@ def denominator_lerch(params: ModelParams, x: int) -> float:
     tolerance 1e-12 of each Lerch series.  At large x (from x = 95 at
     rate 0.105) a Lerch term overflows and ``NumericError`` is raised.
     """
-    if x < 1:
-        raise DomainError(f"the Lerch form needs x >= 1, got x={x}")
+    x = _count(x, 1)
     if params.w <= 0.0:
         raise DomainError(
             f"the Lerch form needs w*x > 0, got w={params.w} at x={x}"

@@ -27,6 +27,7 @@ from gpgamma.validation import (
     compare,
     compare_kinds,
     full_support_tv,
+    denominator_lerch,
     sweep,
     verify_lerch_denominator,
 )
@@ -362,6 +363,16 @@ class TestSweep:
         assert results[0].report is None and "x=2.5" in results[0].error
         assert all(r.report is not None and r.error is None for r in results[1:])
 
+    def test_count_beyond_float_gives_one_error_row(self):
+        results = sweep([(*SMALL_RATE, 10**400), (*SMALL_RATE, 3)])
+        assert [(r.index, r.kind) for r in results] == [
+            (0, None),
+            (1, "theorem1"),
+            (1, "moment_matched"),
+        ]
+        assert results[0].report is None and "x must be a non-negative integer" in results[0].error
+        assert all(r.report is not None and r.error is None for r in results[1:])
+
     def test_window_failure_gives_one_error_row(self, monkeypatch):
         failed = []
 
@@ -383,19 +394,29 @@ class TestSweep:
         assert all(r.report is not None and r.error is None for r in results[1:])
 
 
-COUNT_ENTRIES = [exact_posterior, theorem1_gamma, inequality_check]
+COUNT_ENTRIES = [exact_posterior, theorem1_gamma, inequality_check, denominator_lerch]
+# the entries whose count starts at 1
+LEAST_ONE = [inequality_check, denominator_lerch]
 
 
 class TestCountRefusal:
-    """Every entry that takes the count x takes it as a whole number."""
+    """Every entry that takes the count x takes it as a whole number in its
+    range, at most 2**53, where k and k + 1 are still distinct floats."""
 
     @pytest.mark.parametrize(
-        "x", [2.5, math.nan, math.inf, np.float64(2.5)], ids=["2.5", "nan", "inf", "float64"]
+        "x",
+        [2.5, math.nan, math.inf, np.float64(2.5), -1, 2**53 + 1, 10**400],
+        ids=["2.5", "nan", "inf", "float64", "-1", "2**53+1", "10**400"],
     )
     @pytest.mark.parametrize("entry", COUNT_ENTRIES, ids=lambda f: f.__name__)
     def test_non_whole_count_is_refused(self, entry, x):
-        with pytest.raises(DomainError, match=f"x={x}"):
+        with pytest.raises(DomainError, match=f"^x must be a non-negative integer.*x={x}"):
             entry(derive_params(*SMALL_RATE), x)
+
+    @pytest.mark.parametrize("entry", LEAST_ONE, ids=lambda f: f.__name__)
+    def test_zero_count_is_refused_where_the_count_starts_at_one(self, entry):
+        with pytest.raises(DomainError, match="x=0"):
+            entry(derive_params(*SMALL_RATE), 0)
 
     @pytest.mark.parametrize("entry", COUNT_ENTRIES, ids=lambda f: f.__name__)
     def test_whole_float_count_is_its_int(self, entry):
