@@ -191,6 +191,16 @@ def exact_posterior(
         raise _floor_error(x, eps_tail, share)
     log_share = math.log(share)
     sd = math.sqrt(x + 1.0) / rate
+    # Each log-weight rounds to about 2^-52 times the size of its terms at the
+    # mode; the bound at a cut needs that well under the step there.
+    c = max(mode, 1)
+    noise = 2.0**-52 * (math.log(c) + (x - 1) * abs(math.log(c + g)) + rate * c)
+    step = math.sqrt(-2.0 * log_share) / sd
+    if noise > 0.01 * step:
+        raise PrecisionError(
+            f"x={x} is too large for eps_tail={eps_tail}: the log-weights round by "
+            f"{noise:.2e}, over 1% of their step {step:.2e} at a cut"
+        )
     spread = math.ceil(math.sqrt(-2.0 * log_share) * sd) + 64
     reach = spread + math.ceil(-0.75 * log_share / rate)
     budget = min(_BLOCK, _MAX_TERMS)

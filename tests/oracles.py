@@ -483,6 +483,27 @@ def streaming_posterior(params: ModelParams, x: int, eps_tail: float) -> Posteri
     )
 
 
+def centred_dropped_mass(table: PosteriorTable) -> float:
+    """Mass a table drops over the mass it keeps, from centred log-weights.
+
+    Each weight is exp(lw(k) - lw(c)) = exp(log1p(d/c) + (x-1) log1p(d/(c+g))
+    - rate d), with c the table's largest entry and d = k - c exact, so no
+    term carries the size of lw itself.  The weights are summed over k >= x
+    within 12 sd = 12 sqrt(x+1)/rate of c, which holds every tail that
+    matters once x is large.  Compare with ``tail_bound``.  Needs x >= 1.
+    """
+    params, x = table.params, table.x
+    rate = params.rate
+    g = (params.w - 1.0) * x
+    c = table.k_min + int(np.argmax(table.probs))
+    reach = math.ceil(12.0 * math.sqrt(x + 1.0) / rate)
+    lo = max(x, c - reach)
+    d = np.arange(lo - c, reach + 1, dtype=float)
+    e = np.exp(np.log1p(d / c) + (x - 1) * np.log1p(d / (c + g)) - rate * d)
+    first, last = table.k_min - lo, table.k_max - lo
+    return float((e[:first].sum() + e[last + 1 :].sum()) / e[first : last + 1].sum())
+
+
 # The CLI renderer as it was before tables were rendered by column: one
 # ``_fmt`` call per CSV value inside ``csv.writer``, and for JSON a dict per
 # row under the pure-Python ``json.dumps(indent=2)`` encoder.  ``rowwise_emit``

@@ -20,6 +20,7 @@ from oracles import (
     brute_moments,
     brute_posterior,
     brute_posterior_weights,
+    centred_dropped_mass,
     direct_denominator_sum,
     edge_point,
     expression_window_moments,
@@ -304,6 +305,20 @@ class TestFloatFloor:
         assert table.tail_bound <= 4e-306
         with pytest.raises(PrecisionError, match="eps_tail=3.7e-306"):
             exact_posterior(params, 1000, 3.7e-306)
+
+
+class TestLargeCount:
+    """A count whose log-weights round too coarsely for the cut's bound is
+    refused; below that the bound holds against centred weights."""
+
+    def test_bound_holds_at_ten_million(self):
+        table = exact_posterior(derive_params(*SMALL_RATE), 10**7, 1e-3)
+        assert centred_dropped_mass(table) <= table.tail_bound
+
+    @pytest.mark.parametrize("x,eps", [(10**9, 1e-3), (10**15, 1e-10)])
+    def test_too_coarse_is_refused(self, x, eps):
+        with pytest.raises(PrecisionError, match=f"x={x} is too large for eps_tail={eps}"):
+            exact_posterior(derive_params(*SMALL_RATE), x, eps)
 
 
 class TestPosteriorMoments:
