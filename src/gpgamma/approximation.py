@@ -9,6 +9,7 @@ a pmf on integers by integrating the density over half-integer windows.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,6 +97,13 @@ class GammaApprox:
     shape: float
     scale: float
     kind: str
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise DomainError(
+                f"gamma shape and scale must be finite and positive, "
+                f"got shape={self.shape!r}, scale={self.scale!r}"
+            )
 
     @property
     def mean(self) -> float:
@@ -196,6 +204,8 @@ def discretize_gamma(
     renormalized pmf keeps its relative accuracy; ``raw_total`` stays the
     unscaled sum, 0 or subnormal there.
     """
+    if not (isinstance(k_min, numbers.Integral) and isinstance(k_max, numbers.Integral)):
+        raise DomainError(f"k_min and k_max must be integers, got k_min={k_min!r}, k_max={k_max!r}")
     if k_min < 0:
         raise DomainError(f"k_min must be >= 0, got {k_min}")
     if k_max < k_min:
@@ -411,8 +421,8 @@ def _gl_window_masses(
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
 def inequality_check(

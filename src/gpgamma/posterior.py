@@ -14,7 +14,8 @@ weights scaled by the mode's, exp(lw - lw_mode), with a plain running sum
 carried between blocks, and the probabilities are the scaled weights over
 their own sum.  A table is capped at 10^7 entries; one that needs more is
 refused, as is an eps_tail so small that the scaled weights at a cut would
-leave the normal floats.
+leave the normal floats, and an x so large that the log-weights round too
+coarsely for the bound at a cut.
 """
 
 from __future__ import annotations
@@ -154,7 +155,11 @@ def exact_posterior(
             terms; the message gives the terms evaluated and the tail bound
             achieved at that side's edge.
         PrecisionError: if the scaled weights at a cut would be subnormal:
-            at a side share under 2.2e-308, or a little above it.
+            at a side share under 2.2e-308, or a little above it; or if the
+            log-weights' rounding, about 2^-52 times their terms' size at the
+            mode, exceeds 1% of their step at a cut: from x = 1.9e7 at rate
+            0.01, 9.0e7 at rate 0.105 and 3.3e8 at rate 0.71 (eps_tail
+            1e-3; about 1.4 times as far at 1e-10).
     """
     x = _count(x)
     _check_eps_tail(eps_tail)

@@ -114,6 +114,21 @@ class TestMomentMatchedGamma:
         with pytest.raises(DomainError):
             moment_matched_gamma(mu, var)
 
+    def test_moments_whose_shape_overflows_are_refused(self):
+        with pytest.raises(DomainError, match="shape=inf"):
+            moment_matched_gamma(1e300, 1e-300)
+
+
+class TestGammaApprox:
+    @pytest.mark.parametrize(
+        "shape,scale",
+        [(1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+         (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)],
+    )
+    def test_bad_pair_is_refused(self, shape, scale):
+        with pytest.raises(DomainError, match="finite and positive"):
+            GammaApprox(shape, scale, "test")
+
 
 class TestBuildGamma:
     def test_each_kind_equals_its_constructor(self):
@@ -204,6 +219,14 @@ class TestDiscretizeGamma:
             discretize_gamma(g, -1, 5, renormalize=False)
         with pytest.raises(DomainError):
             discretize_gamma(g, 5, 4, renormalize=False)
+
+    @pytest.mark.parametrize(
+        "k_min,k_max", [(2.5, 10), (0, 10.5), (2.0, 10), (0, np.float64(10.0)), (0, "10")]
+    )
+    def test_window_ends_must_be_integers(self, k_min, k_max):
+        g = theorem1_gamma(derive_params(*SMALL_RATE), 1)
+        with pytest.raises(DomainError, match="must be integers"):
+            discretize_gamma(g, k_min, k_max, renormalize=False)
 
     def test_keeps_construction_tag(self):
         params = derive_params(*SMALL_RATE)
@@ -533,3 +556,5 @@ class TestInequalityCheck:
             inequality_check(params, 0)
         with pytest.raises(DomainError):
             inequality_check(params, 5, epsilon=0.0)
+        with pytest.raises(DomainError, match="positive and finite"):
+            inequality_check(params, 5, epsilon=math.inf)

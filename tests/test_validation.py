@@ -325,7 +325,15 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "eps_tail,epsilon_ineq",
-        [(0.0, 0.01), (0.5, 0.01), (1e-10, 0.0), (1e-10, math.nan), (1e-10, -1.0), (1e-4, 0.01)],
+        [
+            (0.0, 0.01),
+            (0.5, 0.01),
+            (1e-10, 0.0),
+            (1e-10, math.nan),
+            (1e-10, -1.0),
+            (1e-10, math.inf),
+            (1e-4, 0.01),
+        ],
     )
     @pytest.mark.parametrize("points", [0, 2])
     def test_bad_tolerance_refused_before_any_point(
