@@ -73,7 +73,6 @@ def derive_params(a: float, b: float, c: float) -> ModelParams:
     )
 
 
-
 def _count(x: int, least: int = 0) -> int:
     # x as an int if a whole number in least .. 2**53, beyond which k and k + 1
     # are no longer distinct floats; anything else is refused

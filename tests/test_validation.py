@@ -26,8 +26,8 @@ from gpgamma.validation import (
     _dropped_term_ratio,
     compare,
     compare_kinds,
-    full_support_tv,
     denominator_lerch,
+    full_support_tv,
     sweep,
     verify_lerch_denominator,
 )
@@ -362,24 +362,16 @@ class TestSweep:
         assert results[3].index == 2 and results[3].report is not None
 
     def test_non_whole_count_gives_one_error_row(self):
-        results = sweep([(*SMALL_RATE, 2.5), (*SMALL_RATE, 3)])
+        results = sweep([(*SMALL_RATE, 2.5), (*SMALL_RATE, 10**400), (*SMALL_RATE, 3)])
         assert [(r.index, r.kind) for r in results] == [
             (0, None),
-            (1, "theorem1"),
-            (1, "moment_matched"),
+            (1, None),
+            (2, "theorem1"),
+            (2, "moment_matched"),
         ]
         assert results[0].report is None and "x=2.5" in results[0].error
-        assert all(r.report is not None and r.error is None for r in results[1:])
-
-    def test_count_beyond_float_gives_one_error_row(self):
-        results = sweep([(*SMALL_RATE, 10**400), (*SMALL_RATE, 3)])
-        assert [(r.index, r.kind) for r in results] == [
-            (0, None),
-            (1, "theorem1"),
-            (1, "moment_matched"),
-        ]
-        assert results[0].report is None and "x must be a non-negative integer" in results[0].error
-        assert all(r.report is not None and r.error is None for r in results[1:])
+        assert results[1].report is None and f"x={10**400}" in results[1].error
+        assert all(r.report is not None and r.error is None for r in results[2:])
 
     def test_window_failure_gives_one_error_row(self, monkeypatch):
         failed = []
