@@ -291,7 +291,9 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
     v, so the corner's estimate bounds every window the rule takes.
 
     Each condition holds on an interval of k, so each run's ends follow in
-    closed form, each settled on the conditions at its boundary window.
+    closed form, exact up to rounding: where a window edge lies on a limit,
+    an end can move by one window, whose mass either side's method takes
+    within ~2e-13.
     The runs depend on the gamma alone, never on the range asked for.
     """
     rise, fall = g.shape - 1.0, 1.0 / g.scale
@@ -299,16 +301,10 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
         curve, rho = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
     else:
         curve, rho = -rise, 0.5
-
-    def fits(k: int, slope: float, t_min: float) -> bool:
-        left, right = rise / (k - 0.5) - fall, rise / (k + 0.5) - fall
-        return k >= 2 and k - 0.5 >= t_min and abs(left) <= slope and abs(right) <= slope
-
     ends = []
     for _, slope, v_max, radius in _GL_RULES:
-        t_min = max(math.sqrt(curve / v_max), radius / rho)
         # the edges t with |rise / t - fall| <= slope fill [t_lo, t_hi]
-        t_lo, t_hi = t_min, sys.maxsize
+        t_lo, t_hi = max(math.sqrt(curve / v_max), radius / rho), sys.maxsize
         if rise > 0.0:
             t_lo = max(t_lo, rise / (fall + slope))
             if fall > slope:
@@ -316,22 +312,8 @@ def _rule_runs(g: GammaApprox) -> list[tuple[int, int, tuple[np.ndarray, np.ndar
         elif fall < slope:
             t_lo = max(t_lo, -rise / (slope - fall))
         else:
-            t_lo = sys.maxsize
-        first, last = max(math.ceil(min(t_lo, sys.maxsize) + 0.5), 2), math.floor(t_hi - 0.5)
-        if first > last + 2:  # empty by more than the window each end may move
-            ends.append((first, last))
-            continue
-        # rounding can leave an end a window off: settle it on the conditions
-        if not fits(first, slope, t_min):
-            first += 1
-        elif fits(first - 1, slope, t_min):
-            first -= 1
-        if t_hi < sys.maxsize:
-            if not fits(last, slope, t_min):
-                last -= 1
-            elif fits(last + 1, slope, t_min):
-                last += 1
-        ends.append((first, last))
+            t_hi = 0.0
+        ends.append((max(math.ceil(min(t_lo, sys.maxsize) + 0.5), 2), math.floor(t_hi - 0.5)))
     (lo, hi), (first, last) = ends
     if first > last:
         return [(lo, hi, _GL10)]

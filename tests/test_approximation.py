@@ -54,6 +54,25 @@ def _nodes_per_window(g, k_min, k_max):
     return nodes
 
 
+def _meets_rule_conditions(g, k, corner, slack):
+    """Whether window k meets the conditions of the rule with this corner of
+    ``_GL_RULES`` (see ``_rule_runs``), each limit loosened by the relative
+    slack, or tightened if it is negative."""
+    _, slope, v_max, radius = corner
+    rise, fall = g.shape - 1.0, 1.0 / g.scale
+    if rise >= 0.0:
+        curve, rho = 0.5 * rise, 2.0 if rise.is_integer() else 0.9
+    else:
+        curve, rho = -rise, 0.5
+    t = k - 0.5
+    return (
+        k >= 2
+        and max(abs(rise / t - fall), abs(rise / (t + 1.0) - fall)) <= slope * (1.0 + slack)
+        and curve / t**2 <= v_max * (1.0 + slack)
+        and t >= radius / rho * (1.0 - slack)
+    )
+
+
 class TestTheorem1Gamma:
     def test_small_rate_set(self):
         params = derive_params(*SMALL_RATE)
@@ -461,6 +480,37 @@ class TestWindowMassAccuracy:
         ),
         log_scale=st.floats(min_value=math.log(0.05), max_value=math.log(1e4)),
     )
+    @settings(max_examples=200, deadline=None)
+    # a window edge on the 10-point rule's slope limit: the run 2 .. 2, or
+    # 2 .. 3 by the conditions taken at the window
+    @example(shape=2.0, log_scale=math.log(0.12068965517241378))
+    # a window edge on the 3-point rule's slope limit: the run 205 .. 211,
+    # or 205 .. 212 by the conditions taken at the window
+    @example(shape=2.0, log_scale=math.log(36.09341825902335))
+    def test_rule_run_ends_meet_their_conditions_up_to_rounding(self, shape, log_scale):
+        # each run's finite end window meets its rule's conditions within
+        # 1e-12 relative; the window just outside breaks one, or lies within
+        # that slack of a limit
+        g = GammaApprox(shape=shape, scale=math.exp(log_scale), kind="test")
+        runs = _rule_runs(g)
+        calm = (runs[0][0], runs[-1][1])
+        three = [(first, last) for first, last, rule in runs if rule is _GL3]
+        for (first, last), corner in zip([calm, *three], approximation_mod._GL_RULES):
+            if first > last:
+                continue
+            assert _meets_rule_conditions(g, first, corner, 1e-12), first
+            assert not _meets_rule_conditions(g, first - 1, corner, -1e-12), first
+            if last < sys.maxsize:
+                assert _meets_rule_conditions(g, last, corner, 1e-12), last
+                assert not _meets_rule_conditions(g, last + 1, corner, -1e-12), last
+
+    @given(
+        shape=st.one_of(
+            st.floats(min_value=math.log(0.05), max_value=math.log(3000.0)).map(math.exp),
+            st.integers(min_value=1, max_value=3000).map(float),
+        ),
+        log_scale=st.floats(min_value=math.log(0.05), max_value=math.log(1e4)),
+    )
     @settings(max_examples=60, deadline=None)
     # the theorem1 gamma of rate 0.01, x = 10: a 3-point run without end
     @example(shape=11.0, log_scale=math.log(100.0))
@@ -469,6 +519,8 @@ class TestWindowMassAccuracy:
     # the moment_matched gamma of rate 0.01, x = 0: a 3-point run from 401
     # at shape < 1
     @example(shape=0.9900498592156961, log_scale=math.log(100.50083062714273))
+    # a window edge on the slope limit: the run 205 .. 211
+    @example(shape=2.0, log_scale=math.log(36.09341825902335))
     def test_3_point_run_ends_keep_the_remainder_bound(self, shape, log_scale):
         # the windows at either end of a 3-point run come nearest its corner,
         # where the remainder estimate is largest: the rule, without
