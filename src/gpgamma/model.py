@@ -74,9 +74,9 @@ def derive_params(a: float, b: float, c: float) -> ModelParams:
 
 
 def _count(x: int, least: int = 0) -> int:
-    # x as an int if a whole number in least .. 2**53, beyond which k and k + 1
-    # are no longer distinct floats; anything else is refused
+    # x as an int if a whole number in least .. 2**53 - 1, beyond which x + 1,
+    # and k and k + 1, are no longer distinct floats; anything else is refused
     if isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer():
-        if least <= x <= 2**53:
+        if least <= x < 2**53:
             return int(x)
-    raise DomainError(f"x must be a non-negative integer in {least}..2**53, got x={x}")
+    raise DomainError(f"x must be a non-negative integer in {least}..2**53-1, got x={x}")

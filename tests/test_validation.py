@@ -401,17 +401,21 @@ LEAST_ONE = [inequality_check, denominator_lerch]
 
 class TestCountRefusal:
     """Every entry that takes the count x takes it as a whole number in its
-    range, at most 2**53, where k and k + 1 are still distinct floats."""
+    range, below 2**53, where x + 1, and k and k + 1, are still distinct floats."""
 
     @pytest.mark.parametrize(
         "x",
-        [2.5, math.nan, math.inf, np.float64(2.5), -1, 2**53 + 1, 10**400],
-        ids=["2.5", "nan", "inf", "float64", "-1", "2**53+1", "10**400"],
+        [2.5, math.nan, math.inf, np.float64(2.5), -1, 2**53, 2**53 + 1, 10**400],
+        ids=["2.5", "nan", "inf", "float64", "-1", "2**53", "2**53+1", "10**400"],
     )
     @pytest.mark.parametrize("entry", COUNT_ENTRIES, ids=lambda f: f.__name__)
     def test_non_whole_count_is_refused(self, entry, x):
         with pytest.raises(DomainError, match=f"^x must be a non-negative integer.*x={x}"):
             entry(derive_params(*SMALL_RATE), x)
+
+    def test_largest_count_has_shape_x_plus_one(self):
+        # x + 1 = 2**53 is still a float; at x = 2**53 it rounded back to x
+        assert theorem1_gamma(derive_params(*SMALL_RATE), 2**53 - 1).shape == 2.0**53
 
     @pytest.mark.parametrize("entry", LEAST_ONE, ids=lambda f: f.__name__)
     def test_zero_count_is_refused_where_the_count_starts_at_one(self, entry):
