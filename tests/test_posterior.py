@@ -208,13 +208,21 @@ class TestBlockedEngine:
         params, x = _domain_point(b, m, x, 20_000)
         self._check_against_the_streaming_loop(params, x, 10.0**log10_eps)
 
-    # the cuts agree (815 .. 3011), but the tail bounds are 1.613e-12 apart
-    # relative, as both take them from uncentred log-weights near 4,000
+    # the cuts agree, but the tail bounds are 1.61e-12, 5.23e-12 and 1.82e-12
+    # apart relative, as both take them from uncentred log-weights near 10^3-10^4
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: uncentred log-weights")
-    def test_streaming_loop_at_the_known_draw(self):
-        b = m = 0.27780012306874324
-        params = derive_params(0.0, b, math.log(m))
-        self._check_against_the_streaming_loop(params, 500, 10.0**-11.875)
+    @pytest.mark.parametrize(
+        "bm,x,eps",
+        [
+            (0.27780012306874324, 500, 10.0**-11.875),
+            (0.4564890727700439, 290, 1e-13),
+            (0.7265977103524072, 1519, 1e-13),
+        ],
+        ids=["x=500", "x=290", "x=1519"],
+    )
+    def test_streaming_loop_at_the_known_draw(self, bm, x, eps):
+        params = derive_params(0.0, bm, math.log(bm))
+        self._check_against_the_streaming_loop(params, x, eps)
 
     @staticmethod
     def _check_against_the_streaming_loop(params, x, eps):
