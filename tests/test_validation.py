@@ -414,7 +414,7 @@ class TestCountRefusal:
             entry(derive_params(*SMALL_RATE), x)
 
     def test_largest_count_has_shape_x_plus_one(self):
-        # x + 1 = 2**53 is still a float; at x = 2**53 it rounded back to x
+        # the largest count: its x + 1, 2**53, is still exact as a float
         assert theorem1_gamma(derive_params(*SMALL_RATE), 2**53 - 1).shape == 2.0**53
 
     @pytest.mark.parametrize("entry", LEAST_ONE, ids=lambda f: f.__name__)
