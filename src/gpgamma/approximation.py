@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .model import ModelParams, _count
 from .posterior import PosteriorTable, posterior_moments
 from .special import _stirlerr, reg_lower_inc_gamma, reg_upper_inc_gamma
@@ -99,10 +99,10 @@ class GammaApprox:
     kind: str
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+        if not (0.0 < self.shape and 0.0 < self.scale and self.shape * self.scale < math.inf):
             raise DomainError(
-                f"gamma shape and scale must be finite and positive, "
-                f"got shape={self.shape!r}, scale={self.scale!r}"
+                f"gamma shape and scale must be finite and positive, with a finite "
+                f"mean, got shape={self.shape!r}, scale={self.scale!r}"
             )
 
     @property
@@ -202,7 +202,9 @@ def discretize_gamma(
     When the range's raw masses underflow (a range far out in a tail), they
     are taken again relative to the density's peak over the range, so the
     renormalized pmf keeps its relative accuracy; ``raw_total`` stays the
-    unscaled sum, 0 or subnormal there.
+    unscaled sum, 0 or subnormal there.  A range so far out that the
+    log-density there rounds by over 1e-9 (about 2^-52 times its terms'
+    size, up to which the masses are accurate) raises ``PrecisionError``.
     """
     if not (isinstance(k_min, numbers.Integral) and isinstance(k_max, numbers.Integral)):
         raise DomainError(f"k_min and k_max must be integers, got k_min={k_min!r}, k_max={k_max!r}")
@@ -219,7 +221,16 @@ def discretize_gamma(
             # again relative to the density's peak over the range.
             mode = max((g.shape - 1.0) * g.scale, 0.0)
             t = min(max(mode, k_min - 0.5, 0.5), k_max + 0.5)
-            peak = (g.shape - 1.0) * math.log(t) - t / g.scale - _log_norm(g)
+            lead, norm = (g.shape - 1.0) * math.log(t), _log_norm(g)
+            peak = lead - t / g.scale - norm
+            # each log-density rounds by about 2^-52 times its terms' size,
+            # and so each renormalized mass, relative
+            noise = 2.0**-52 * (abs(lead) + t / g.scale + abs(norm))
+            if noise > 1e-9:
+                raise PrecisionError(
+                    f"window k={k_min}..{k_max} lies too far out in the gamma's tail: "
+                    f"its log-density {peak:.3e} rounds by {noise:.1e}, over 1e-9"
+                )
             probs = _window_masses(g, k_min, k_max, peak)
             total = float(probs.sum())
         if total <= 0.0:

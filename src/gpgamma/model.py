@@ -25,7 +25,7 @@ class ModelParams:
     """Validated model constants plus derived quantities.
 
     Build instances through :func:`derive_params`, which enforces
-    0 < b < 1 and 0 < m < 4 (equivalently |lambda2| < 1).
+    0 < b < 1, 0 < m < 4 (equivalently |lambda2| < 1) and rate > 0.
 
     Attributes:
         m: exp(a*b + c), the dispersion scale.
@@ -62,6 +62,8 @@ def derive_params(a: float, b: float, c: float) -> ModelParams:
         )
     sqrt_m = math.sqrt(m)
     rate = b * sqrt_m
+    if rate == 0.0:
+        raise DomainError(f"rate = b*sqrt(m) = {b}*{sqrt_m} underflows to 0")
     return ModelParams(
         a=float(a),
         b=float(b),

@@ -78,10 +78,22 @@ class PosteriorTable:
         return window_moments(self.k_min, self.probs)
 
     @cached_property
-    def _mean_inverse(self) -> float:
-        # E[1/k] under the table, for dropped_term_ratio; once per table too
+    def dropped_term_ratio(self) -> float:
+        """Ratio of the two Lerch terms in the normalizer, under the table.
+
+        Splitting (j+g)^x = j (j+g)^(x-1) + g (j+g)^(x-1) with g = (w-1) x
+        gives g E[1/k] / (1 + g E[1/k]), the sqrt(m) ~ 1 diagnostic.  It
+        vanishes identically at x = 0 and m = 1, and 1 + g E[1/k] > 0
+        because k >= x and g > -x when w > 0.  The left cut of
+        ``exact_posterior`` bounds the 1/k-weighted mass it drops, so the
+        ratio is within about eps_tail, relative, of the untruncated one.
+        """
+        g = (self.params.w - 1.0) * self.x
+        if g == 0.0:
+            return 0.0
         ks = np.arange(self.k_min, self.k_max + 1, dtype=float)
-        return float(np.divide(self.probs, ks, out=ks).sum())
+        ge = g * float(np.divide(self.probs, ks, out=ks).sum())
+        return ge / (1.0 + ge)
 
 
 def _limit_error(evaluated: int, x: int, eps_tail: float, achieved: float) -> NumericError:
@@ -154,12 +166,13 @@ def exact_posterior(
         NumericError: if a side has not stopped within ``_MAX_TERMS``
             terms; the message gives the terms evaluated and the tail bound
             achieved at that side's edge.
-        PrecisionError: if the scaled weights at a cut would be subnormal:
-            at a side share under 2.2e-308, or a little above it; or if the
-            log-weights' rounding, about 2^-52 times their terms' size at the
-            mode, exceeds 1% of their step at a cut: from x = 1.9e7 at rate
-            0.01, 9.0e7 at rate 0.105 and 3.3e8 at rate 0.71 (eps_tail
-            1e-3; about 1.4 times as far at 1e-10).
+        PrecisionError: if the mode is not finite, at rates so small that
+            x/rate or w overflows; if the scaled weights at a cut would be
+            subnormal: at a side share under 2.2e-308, or a little above it;
+            or if the log-weights' rounding, about 2^-52 times their terms'
+            size at the mode, exceeds 1% of their step at a cut: from
+            x = 1.9e7 at rate 0.01, 9.0e7 at rate 0.105 and 3.3e8 at rate
+            0.71 (eps_tail 1e-3; about 1.4 times as far at 1e-10).
     """
     x = _count(x)
     _check_eps_tail(eps_tail)
@@ -187,6 +200,8 @@ def exact_posterior(
     # the mode solves rate k^2 - (x - rate g) k - g = 0
     lin = x - rate * g
     root = (lin + math.sqrt(max(lin * lin + 4.0 * rate * g, 0.0))) / (2.0 * rate)
+    if not math.isfinite(root):
+        raise PrecisionError(f"x={x} at rate={rate:.3g} has no finite mode: it solves to {root}")
     mode = max(x, round(root))
     # Dropping the tails moves E[1/k] by at most the larger share
     # (relative; the left cut raises it, the right cut lowers it), and
@@ -203,8 +218,8 @@ def exact_posterior(
     step = math.sqrt(-2.0 * log_share) / sd
     if noise > 0.01 * step:
         raise PrecisionError(
-            f"x={x} is too large for eps_tail={eps_tail}: the log-weights round by "
-            f"{noise:.2e}, over 1% of their step {step:.2e} at a cut"
+            f"x={x} is too large for eps_tail={eps_tail} at rate={rate:.3g}: the "
+            f"log-weights round by {noise:.2e}, over 1% of their step {step:.2e} at a cut"
         )
     spread = math.ceil(math.sqrt(-2.0 * log_share) * sd) + 64
     reach = spread + math.ceil(-0.75 * log_share / rate)

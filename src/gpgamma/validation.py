@@ -60,11 +60,8 @@ class ComparisonReport:
     ``tv`` is half the L1 distance and ``kl`` the divergence from the exact
     posterior to the approximation, both over the common support window with
     the approximation renormalized there.  ``dropped_term_ratio`` is the
-    second-to-first term ratio of the Lerch form of the normalizer, the
-    sqrt(m) ~ 1 diagnostic.  Like ``mean_exact`` it is taken under the
-    truncated table, as g E[1/k] / (1 + g E[1/k]) with g = (w-1) x, so its
-    relative error is at most about the table's eps_tail.  ``raw_total`` is
-    the approximation's window mass before renormalization.
+    table's ``PosteriorTable.dropped_term_ratio``.  ``raw_total`` is the
+    approximation's window mass before renormalization.
     """
 
     kind: str
@@ -92,19 +89,6 @@ class SweepResult:
     kind: str | None
     report: ComparisonReport | None
     error: str | None
-
-
-def _dropped_term_ratio(table: PosteriorTable) -> float:
-    # Ratio of the two Lerch terms in the normalizer, taken under the table:
-    # splitting (j+g)^x = j (j+g)^(x-1) + g (j+g)^(x-1) with g = (w-1) x gives
-    # g E[1/k] / (1 + g E[1/k]).  It vanishes identically at x = 0 and m = 1,
-    # and 1 + g E[1/k] > 0 because k >= x and g > -x when w > 0.  The
-    # table's left cut bounds the 1/k-weighted mass it drops, too.
-    g = (table.params.w - 1.0) * table.x
-    if g == 0.0:
-        return 0.0
-    ge = g * table._mean_inverse
-    return ge / (1.0 + ge)
 
 
 def compare(
@@ -148,7 +132,7 @@ def compare(
         var_exact=var_exact,
         mean_approx=mean_approx,
         var_approx=var_approx,
-        dropped_term_ratio=_dropped_term_ratio(exact),
+        dropped_term_ratio=exact.dropped_term_ratio,
         inequality_holds=holds,
         raw_total=approx.raw_total,
     )

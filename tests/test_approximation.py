@@ -142,7 +142,7 @@ class TestGammaApprox:
     @pytest.mark.parametrize(
         "shape,scale",
         [(1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
-         (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)],
+         (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1e6 + 1, 1.5e305)],
     )
     def test_bad_pair_is_refused(self, shape, scale):
         with pytest.raises(DomainError, match="finite and positive"):

@@ -23,7 +23,6 @@ from gpgamma.model import derive_params
 from gpgamma.posterior import PosteriorTable, exact_posterior, posterior_moments
 from gpgamma.validation import (
     _KL_FLOOR,
-    _dropped_term_ratio,
     compare,
     compare_kinds,
     denominator_lerch,
@@ -232,10 +231,10 @@ class TestCompareNeverRefuses:
 
 class TestDroppedTermRatio:
     def test_vanishes_at_x_zero_and_at_m_one(self):
-        assert _dropped_term_ratio(exact_posterior(derive_params(*SMALL_RATE), 0)) == 0.0
+        assert exact_posterior(derive_params(*SMALL_RATE), 0).dropped_term_ratio == 0.0
         poisson = derive_params(0.0, 0.3, 0.0)
         assert poisson.w == 1.0
-        assert _dropped_term_ratio(exact_posterior(poisson, 7)) == 0.0
+        assert exact_posterior(poisson, 7).dropped_term_ratio == 0.0
 
     @given(
         b=st.floats(0.02, 0.99),
@@ -250,7 +249,7 @@ class TestDroppedTermRatio:
         params = edge_point(b, gap)
         assume(params.rate >= 0.02)
         eps = 10.0**log10_eps
-        got = _dropped_term_ratio(exact_posterior(params, x, eps))
+        got = exact_posterior(params, x, eps).dropped_term_ratio
         assert got == pytest.approx(mpmath_dropped_term_ratio(params, x), rel=eps, abs=0.0)
 
 
@@ -426,6 +425,93 @@ class TestCountRefusal:
     def test_whole_float_count_is_its_int(self, entry):
         params = derive_params(*SMALL_RATE)
         assert repr(entry(params, 3.0)) == repr(entry(params, 3))
+
+
+def _posterior(abc, x):
+    return exact_posterior(derive_params(*abc), x)
+
+
+def _params(abc, x):
+    return derive_params(*abc)
+
+
+def _theorem1_window(abc, x):
+    return discretize_gamma(theorem1_gamma(derive_params(*abc), x), x, x + 5, True)
+
+
+TYPED = (DomainError, PrecisionError, NumericError)
+
+
+class TestTinyRateRefusal:
+    """Rates near the float floor: every entry answers with finite numbers
+    or raises a typed error, and ``sweep`` records one error row."""
+
+    @pytest.mark.parametrize(
+        "abc,x,entry,error,match",
+        [
+            # m = 1: the mode x / rate overflows
+            ((0.0, 1e-300, 0.0), 10**9, _posterior, PrecisionError,
+             "^x=1000000000 at rate=1e-300 has no finite mode"),
+            # w and g = (w - 1) x are infinite, so the mode is NaN
+            ((0.0, 1e-300, -0.5), 10**10, _posterior, PrecisionError,
+             "^x=10000000000 at rate=7.79e-301 has no finite mode"),
+            ((0.0, 5e-324, -0.5), 0, _posterior, PrecisionError,
+             "^x=0 at rate=4.94e-324 has no finite mode"),
+            # a finite mode whose log-weights round too coarsely names the rate
+            ((0.0, 1e-17, -0.5), 5, _posterior, PrecisionError,
+             "^x=5 is too large for eps_tail=1e-10 at rate=7.79e-18: "),
+            # b sqrt(m) rounds to 0
+            ((0.0, 5e-324, -2.0), 3, _params, DomainError, "underflows to 0"),
+            # rate 6.6e-306: theorem1's mean (x + 1) / rate overflows
+            ((0.0, 3.3e-306, math.log(3.99999999999)), 10**6, _theorem1_window, DomainError,
+             "with a finite mean"),
+            # the window x .. x + 5 lies ~1e240 below the mean, where the
+            # log-density's rounding is ~1e3
+            ((0.0, 7.774667420826337e-225, 0.0), 2**53 - 1, _theorem1_window, PrecisionError,
+             "lies too far out in the gamma's tail"),
+        ],
+        ids=["mode-inf", "mode-nan", "mode-nan-x0", "coarse", "rate-zero", "mean-inf", "far-window"],
+    )
+    def test_refused_and_one_sweep_error_row(self, abc, x, entry, error, match):
+        with pytest.raises(error, match=match):
+            entry(abc, x)
+        results = sweep([(*abc, x), (*SMALL_RATE, 3)])
+        assert [(r.index, r.kind) for r in results] == [
+            (0, None),
+            (1, "theorem1"),
+            (1, "moment_matched"),
+        ]
+        assert results[0].report is None and results[0].error
+
+    @given(
+        log10_b=st.floats(-324.0, 0.0, exclude_max=True),
+        m=st.one_of(st.just(1.0), st.floats(0.0, 4.0, exclude_min=True, exclude_max=True)),
+        x=st.sampled_from([0, 1, 7, 10**3, 10**6, 10**9, 2**53 - 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_entry_answers_or_refuses(self, log10_b, m, x):
+        """b log-uniform down to 5e-324.  For time only, ``exact_posterior``
+        is skipped on draws with rate < 1e-5 and x < 10^6: those run to the
+        10^7-term cap, 0.2 s each, before ``NumericError``."""
+        try:
+            params = derive_params(0.0, max(10.0**log10_b, 5e-324), math.log(m))
+        except TYPED:
+            return
+        abc = params.a, params.b, params.c
+        entries = [_theorem1_window, lambda abc, x: inequality_check(params, x)]
+        if params.rate >= 1e-5 or x >= 10**6:
+            entries.append(_posterior)
+        for entry in entries:
+            try:
+                got = entry(abc, x)
+            except TYPED:
+                continue
+            if hasattr(got, "probs"):
+                assert np.isfinite(got.probs).all()
+            if hasattr(got, "tail_bound"):
+                assert math.isfinite(got.tail_bound)
+            if hasattr(got, "rhs"):
+                assert math.isfinite(got.lhs) and math.isfinite(got.rhs)
 
 
 @pytest.fixture(scope="module")
