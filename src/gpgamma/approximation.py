@@ -202,9 +202,11 @@ def discretize_gamma(
     When the range's raw masses underflow (a range far out in a tail), they
     are taken again relative to the density's peak over the range, so the
     renormalized pmf keeps its relative accuracy; ``raw_total`` stays the
-    unscaled sum, 0 or subnormal there.  A range so far out that the
-    log-density there rounds by over 1e-9 (about 2^-52 times its terms'
-    size, up to which the masses are accurate) raises ``PrecisionError``.
+    unscaled sum, 0 or subnormal there.  Where the kernel's log-density at
+    the range's point t nearest the mode rounds by over 1e-6 (2^-52 times
+    (shape-1) |log(t/mode)| for shape > 50, else |(shape-1) log t| + t/scale),
+    it raises ``PrecisionError``; a theorem1 window over a table that
+    ``exact_posterior`` answers stays under 2e-7 (1.4e-7 at x = 9.1e8).
     """
     if not (isinstance(k_min, numbers.Integral) and isinstance(k_max, numbers.Integral)):
         raise DomainError(f"k_min and k_max must be integers, got k_min={k_min!r}, k_max={k_max!r}")
@@ -221,16 +223,16 @@ def discretize_gamma(
             # again relative to the density's peak over the range.
             mode = max((g.shape - 1.0) * g.scale, 0.0)
             t = min(max(mode, k_min - 0.5, 0.5), k_max + 0.5)
-            lead, norm = (g.shape - 1.0) * math.log(t), _log_norm(g)
-            peak = lead - t / g.scale - norm
-            # each log-density rounds by about 2^-52 times its terms' size,
-            # and so each renormalized mass, relative
-            noise = 2.0**-52 * (abs(lead) + t / g.scale + abs(norm))
-            if noise > 1e-9:
+            if g.shape > _GL_CENTRED_SHAPE:
+                terms = (g.shape - 1.0) * abs(math.log(t / mode))
+            else:
+                terms = abs((g.shape - 1.0) * math.log(t)) + t / g.scale
+            if 2.0**-52 * terms > 1e-6:
                 raise PrecisionError(
                     f"window k={k_min}..{k_max} lies too far out in the gamma's tail: "
-                    f"its log-density {peak:.3e} rounds by {noise:.1e}, over 1e-9"
+                    f"its masses round by {2.0**-52 * terms:.1e}, relative, over 1e-6"
                 )
+            peak = (g.shape - 1.0) * math.log(t) - t / g.scale - _log_norm(g)
             probs = _window_masses(g, k_min, k_max, peak)
             total = float(probs.sum())
         if total <= 0.0:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -447,32 +448,34 @@ class TestTinyRateRefusal:
     or raises a typed error, and ``sweep`` records one error row."""
 
     @pytest.mark.parametrize(
-        "abc,x,entry,error,match",
+        "abc,x,entry,error,match,sweep_match",
         [
             # m = 1: the mode x / rate overflows
             ((0.0, 1e-300, 0.0), 10**9, _posterior, PrecisionError,
-             "^x=1000000000 at rate=1e-300 has no finite mode"),
+             "^x=1000000000 at rate=1e-300 has no finite mode", None),
             # w and g = (w - 1) x are infinite, so the mode is NaN
             ((0.0, 1e-300, -0.5), 10**10, _posterior, PrecisionError,
-             "^x=10000000000 at rate=7.79e-301 has no finite mode"),
+             "^x=10000000000 at rate=7.79e-301 has no finite mode", None),
             ((0.0, 5e-324, -0.5), 0, _posterior, PrecisionError,
-             "^x=0 at rate=4.94e-324 has no finite mode"),
+             "^x=0 at rate=4.94e-324 has no finite mode", None),
             # a finite mode whose log-weights round too coarsely names the rate
             ((0.0, 1e-17, -0.5), 5, _posterior, PrecisionError,
-             "^x=5 is too large for eps_tail=1e-10 at rate=7.79e-18: "),
+             "^x=5 is too large for eps_tail=1e-10 at rate=7.79e-18: ", None),
             # b sqrt(m) rounds to 0
-            ((0.0, 5e-324, -2.0), 3, _params, DomainError, "underflows to 0"),
-            # rate 6.6e-306: theorem1's mean (x + 1) / rate overflows
+            ((0.0, 5e-324, -2.0), 3, _params, DomainError, "underflows to 0", None),
+            # rate 6.6e-306: theorem1's mean (x + 1) / rate overflows; sweep
+            # never builds the gamma, as the table refuses w < 0 first
             ((0.0, 3.3e-306, math.log(3.99999999999)), 10**6, _theorem1_window, DomainError,
-             "with a finite mean"),
-            # the window x .. x + 5 lies ~1e240 below the mean, where the
-            # log-density's rounding is ~1e3
+             "with a finite mean", "requires w = 1 [+] lambda2/rate > 0"),
+            # the window x .. x + 5 lies ~1e240 below the mode, where the
+            # kernel's log-density rounds by ~1e3; sweep never builds the
+            # gamma, as the table refuses its own rounding first
             ((0.0, 7.774667420826337e-225, 0.0), 2**53 - 1, _theorem1_window, PrecisionError,
-             "lies too far out in the gamma's tail"),
+             "lies too far out in the gamma's tail", "^x=9007199254740991 is too large"),
         ],
         ids=["mode-inf", "mode-nan", "mode-nan-x0", "coarse", "rate-zero", "mean-inf", "far-window"],
     )
-    def test_refused_and_one_sweep_error_row(self, abc, x, entry, error, match):
+    def test_refused_and_one_sweep_error_row(self, abc, x, entry, error, match, sweep_match):
         with pytest.raises(error, match=match):
             entry(abc, x)
         results = sweep([(*abc, x), (*SMALL_RATE, 3)])
@@ -481,7 +484,19 @@ class TestTinyRateRefusal:
             (1, "theorem1"),
             (1, "moment_matched"),
         ]
-        assert results[0].report is None and results[0].error
+        assert results[0].report is None
+        assert re.search(sweep_match or match, results[0].error)
+
+    def test_far_theorem1_window_is_answered(self):
+        """sqrt(m) = 0.9, rate 0.1, x = 10^6: the table lies ~90 sd left of
+        theorem1's mode, so the window's raw masses underflow and are taken
+        again about the range's peak, where the centred kernel rounds by
+        ~2e-11, relative, well inside the far-tail refusal's 1e-6."""
+        table = exact_posterior(derive_params(0.0, 1.0 / 9.0, 2.0 * math.log(0.9)), 10**6)
+        (theorem1, near), (_, matched) = compare_kinds(table)
+        assert theorem1.raw_total == 0.0 and np.isfinite(theorem1.probs).all()
+        assert near.tv == pytest.approx(1.0, abs=1e-9)
+        assert matched.tv < 1e-4
 
     @given(
         log10_b=st.floats(-324.0, 0.0, exclude_max=True),
